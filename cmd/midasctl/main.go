@@ -87,8 +87,15 @@ func run() error {
 		if *nodeAddr == "" || len(args) < 2 {
 			return fmt.Errorf("revoke needs -node and an extension name")
 		}
-		if _, err := transport.Invoke[core.RevokeReq, core.EmptyResp](ctx, caller, *nodeAddr, core.MethodRevoke, core.RevokeReq{Name: args[1]}); err != nil {
+		resp, err := transport.Invoke[core.ApplyBatchReq, core.ApplyBatchResp](ctx, caller, *nodeAddr, core.MethodApplyBatch, core.ApplyBatchReq{Revokes: args[1:2]})
+		if err != nil {
 			return err
+		}
+		if len(resp.Revokes) != 1 {
+			return fmt.Errorf("revoke: node answered %d outcomes for 1 revoke", len(resp.Revokes))
+		}
+		if e := resp.Revokes[0].Err; e != "" {
+			return fmt.Errorf("revoke %s: %s", args[1], e)
 		}
 		fmt.Printf("revoked %s\n", args[1])
 	case "metrics":

@@ -227,8 +227,7 @@ func runFleetHerd(t *testing.T, seed int64, nNodes int) herdRun {
 		t.Fatalf("limiter did not settle: %+v", snap)
 	}
 
-	// The overload status travels the fleet RPC (gob tolerates the new field,
-	// so old peers just see it absent).
+	// The overload status travels the fleet RPC.
 	rpcView, err := transport.Invoke[core.EmptyResp, core.FleetResp](
 		context.Background(), net.Node("probe"), "fleet-base", core.MethodBaseFleet, core.EmptyResp{})
 	if err != nil {

@@ -142,11 +142,6 @@ type adaptedNode struct {
 	// journal checkpoints, so deadlines are absolute. An extension present
 	// here is being kept alive by the base's renewal scheduler.
 	grants map[string]grantInfo
-	// legacyRenew/legacyApply remember that this peer answered a batched RPC
-	// with ErrNoMethod: an old receiver without the batch surface, served
-	// singleton RPCs from then on.
-	legacyRenew bool
-	legacyApply bool
 }
 
 // grantInfo is the base's view of one pushed extension's lease.
@@ -231,13 +226,11 @@ type baseMetrics struct {
 	reconOrphans  *metrics.Counter
 	reconAdopts   *metrics.Counter
 	reconErrors   *metrics.Counter
-	// Batch-surface counters: batched renew RPCs (and the leases they
-	// carried), batched apply RPCs, and fallbacks to singleton RPCs for old
-	// peers without the batch surface.
+	// Batch-surface counters: renew RPCs (and the leases they carried) and
+	// apply RPCs.
 	renewBatches     *metrics.Counter
 	renewBatchLeases *metrics.Counter
 	pushBatches      *metrics.Counter
-	batchFallbacks   *metrics.Counter
 	adapted          *metrics.Gauge
 	degraded         *metrics.Gauge
 }
@@ -275,7 +268,6 @@ func (b *Base) Instrument(reg *metrics.Registry) {
 		renewBatches:     reg.Counter("base.renew_batch"),
 		renewBatchLeases: reg.Counter("base.renew_batch_leases"),
 		pushBatches:      reg.Counter("base.push_batch"),
-		batchFallbacks:   reg.Counter("base.batch_fallbacks"),
 		adapted:          reg.Gauge("base.adapted_nodes"),
 		degraded:         reg.Gauge("base.degraded_nodes"),
 	}
@@ -537,7 +529,8 @@ func (b *Base) pushToAllNodes(ext Extension) {
 		go func(nodes []*adaptedNode) {
 			defer wg.Done()
 			for _, n := range nodes {
-				if err := b.pushExtension(context.Background(), n, ext); err != nil {
+				installErrs, _ := b.applyToNode(context.Background(), n, []Extension{ext}, nil)
+				if err := installErrs[ext.Name]; err != nil {
 					b.log("push", n.id, ext.Name, "failed: "+err.Error())
 				}
 			}
@@ -615,9 +608,9 @@ func (b *Base) RemoveExtension(name string) error {
 			defer wg.Done()
 			for _, n := range nodes {
 				b.stopTracking(n.addr, name)
-				err := b.revokeExtension(context.Background(), n, name)
+				_, revokeErrs := b.applyToNode(context.Background(), n, nil, []string{name})
 				detail := ""
-				if err != nil {
+				if err := revokeErrs[name]; err != nil {
 					detail = "failed: " + err.Error()
 				}
 				b.log("revoke", n.id, name, detail)
@@ -626,20 +619,6 @@ func (b *Base) RemoveExtension(name string) error {
 	}
 	wg.Wait()
 	return nil
-}
-
-// revokeExtension withdraws one extension at one node, inside the trace that
-// installed it there. The caller logs the outcome.
-func (b *Base) revokeExtension(ctx context.Context, n *adaptedNode, name string) error {
-	tr := b.traceRef()
-	rctx, sp := tr.StartSpan(trace.NewContext(ctx, b.pushSpanCtx(n.addr, name)), "base.revoke")
-	sp.Tag("ext", name)
-	sp.Tag("node", n.id)
-	ictx, cancel := context.WithTimeout(rctx, b.cfg.CallTimeout)
-	_, err := transport.Invoke[RevokeReq, EmptyResp](ictx, b.caller, n.addr, MethodRevoke, RevokeReq{Name: name})
-	cancel()
-	sp.End(err)
-	return err
 }
 
 // pushSpanCtx returns the span context under which ext was pushed to the
@@ -862,50 +841,6 @@ func (b *Base) Recover() (int, error) {
 // Degraded lists the addresses of nodes parked for reconciliation, sorted.
 func (b *Base) Degraded() []string {
 	return b.nodes.degradedAddrs()
-}
-
-func (b *Base) pushExtension(ctx context.Context, n *adaptedNode, ext Extension) error {
-	tr := b.traceRef()
-	pctx, sp := tr.StartSpan(ctx, "base.push")
-	sp.Tag("ext", ext.Name)
-	sp.Tag("node", n.id)
-	signed, err := b.signedFor(ext)
-	if err != nil {
-		sp.End(err)
-		return err
-	}
-	ictx, cancel := context.WithTimeout(pctx, b.cfg.CallTimeout)
-	resp, err := transport.Invoke[InstallReq, InstallResp](ictx, b.caller, n.addr, MethodInstall, InstallReq{
-		Signed:    signed,
-		BaseAddr:  b.cfg.Addr,
-		DurMillis: b.cfg.LeaseDur.Milliseconds(),
-	})
-	cancel()
-	if err != nil {
-		sp.End(err)
-		return fmt.Errorf("core: push %q to %s: %w", ext.Name, n.addr, err)
-	}
-	// Capture the identity before End: a sampled-out span is recycled there,
-	// and Context on the recycled handle would mint an ID for whatever span
-	// owns the pooled storage next.
-	pushSC := sp.Context()
-	sp.End(nil)
-	b.log("push", n.id, ext.Name, "")
-
-	// Keep the extension alive until the node leaves our space.
-	g := grantInfo{
-		version:  ext.Version,
-		leaseID:  lease.ID(resp.LeaseID),
-		dur:      b.cfg.LeaseDur,
-		deadline: b.cfg.Clock.Now().Add(b.cfg.LeaseDur),
-	}
-	if !b.trackGrant(n, ext.Name, g, b.cfg.LeaseDur, pushSC) {
-		// The node departed (or the base closed) while the push was in
-		// flight: there is no tracked node to keep alive, so no renewal is
-		// scheduled — the receiver's lease will lapse on its own.
-		b.log("push", n.id, ext.Name, "node gone mid-push; lease left to expire")
-	}
-	return nil
 }
 
 // trackGrant records the lease granted for ext at n and hands it to the

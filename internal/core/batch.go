@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -12,12 +13,11 @@ import (
 	"repro/internal/transport"
 )
 
-// Batched RPC surface: at fleet scale the base coalesces per-node traffic —
-// all of a node's due lease renewals ride one midas.renewBatch call, and the
-// installs+revokes a reconcile diff (or a multi-extension adapt) produces for
-// one node ride one midas.applyBatch call. Old peers that do not serve the
-// batch methods are detected through ErrNoMethod and remembered, and the base
-// falls back to the singleton RPCs for them.
+// Batched RPC surface, the receiver's only mutation surface: all of a node's
+// due lease renewals ride one midas.renewBatch call, and the installs and
+// revokes an adapt round, a policy change or a reconcile diff produces for
+// one node ride one midas.applyBatch call. A lone install, revoke or renewal
+// is a batch of one.
 
 // RPC method names of the batch surface.
 const (
@@ -29,8 +29,7 @@ const (
 type (
 	// RenewBatchReq renews several leases at one node in one exchange.
 	// WantObs asks the node to piggyback its observability delta on the
-	// response; it rides as an optional trailing wire field (encoded only
-	// when true) so requests to and from old peers keep their old bytes.
+	// response.
 	RenewBatchReq struct {
 		Items   []RenewExtReq
 		WantObs bool
@@ -43,8 +42,7 @@ type (
 	}
 	// RenewBatchResp carries the per-item outcomes, aligned with the request.
 	// Obs is the piggybacked observability delta (fleet.go), present only
-	// when the request asked for it — a node must never volunteer trailing
-	// bytes to a base that would reject them.
+	// when the request asked for it.
 	RenewBatchResp struct {
 		Items []RenewItemResp
 		Obs   *ObsReport
@@ -61,7 +59,8 @@ type (
 		Err     string
 	}
 	// RevokeItemResp is one revoke's outcome; revoking an extension that is
-	// already gone succeeds, like the singleton revoke.
+	// already gone succeeds, so a retried revoke whose response was lost is
+	// not an error.
 	RevokeItemResp struct {
 		Err string
 	}
@@ -112,55 +111,45 @@ func (r *Receiver) serveBatch(mux *transport.Mux) {
 }
 
 // renewNodeBatch is the scheduler's BatchRenewFunc: it renews every due lease
-// held at node. A single due lease keeps the singleton midas.renew call (and
-// its familiar one-span-per-renewal trace shape); multiple due leases
-// coalesce into one midas.renewBatch call, falling back to singletons for old
-// peers. A call-level error fails the whole batch — the scheduler's retry
-// pacing takes over from there.
+// held at node in one midas.renewBatch call. A call-level error fails the
+// whole batch — the scheduler's retry pacing takes over from there.
 func (b *Base) renewNodeBatch(node string, items []lease.BatchItem) ([]lease.BatchResult, error) {
-	metas, legacy, ok := b.renewMeta(node, items)
+	metas, ok := b.renewMeta(node, items)
 	if !ok {
 		return nil, fmt.Errorf("core: node %s is no longer tracked", node)
 	}
-	if len(items) == 1 || legacy {
-		out := make([]lease.BatchResult, len(items))
-		for i, it := range items {
-			out[i] = b.renewOne(node, it.ID, metas[i])
-		}
-		return out, nil
-	}
 
 	m, tr, wantObs := b.renewRefs()
-	sp := tr.StartSpanFrom(trace.SpanContext{}, "lease.renewBatch")
-	sp.Tag("node", node)
-	// A tag, not an annotation: tags on a sampled-out span are free (the pool
-	// keeps their backing array), while Annotatef pays fmt on every batch.
-	sp.Tag("leases", strconv.Itoa(len(items)))
+	var sp *trace.Span
+	if len(items) == 1 {
+		// A lone renewal is one "lease.renew" span in the trace that
+		// installed the extension, parent of its RPC.
+		sp = tr.StartSpanFrom(metas[0].sc, "lease.renew")
+		sp.Tag("ext", metas[0].ext)
+		sp.Tag("node", metas[0].nodeID)
+	} else {
+		sp = tr.StartSpanFrom(trace.SpanContext{}, "lease.renewBatch")
+		sp.Tag("node", node)
+		// A tag, not an annotation: tags on a sampled-out span are free (the
+		// pool keeps their backing array), while Annotatef pays fmt on every
+		// batch.
+		sp.Tag("leases", strconv.Itoa(len(items)))
+	}
 	req := RenewBatchReq{Items: make([]RenewExtReq, len(items)), WantObs: wantObs}
 	for i, it := range items {
 		req.Items[i] = RenewExtReq{LeaseID: string(it.ID), DurMillis: b.cfg.LeaseDur.Milliseconds()}
 	}
 	rctx, cancel := context.WithTimeout(context.Background(), b.cfg.CallTimeout)
 	if sc := sp.Context(); sc.TraceID != "" {
-		// Parent the rpc.call span under this batch span. Besides the trace
-		// tree reading right, a sampled-out child rides the context's decision
+		// Parent the rpc.call span under this span. Besides the trace tree
+		// reading right, a sampled-out child rides the context's decision
 		// instead of minting a root trace ID per call on the shared RNG.
 		rctx = trace.NewContext(rctx, sc)
 	}
 	resp, err := transport.Invoke[RenewBatchReq, RenewBatchResp](rctx, b.caller, node, MethodRenewBatch, req)
 	cancel()
-	sp.End(err)
-	if errors.Is(err, transport.ErrNoMethod) {
-		// Old peer: remember it and renew one by one from now on.
-		b.markLegacyRenew(node)
-		m.batchFallbacks.Inc()
-		out := make([]lease.BatchResult, len(items))
-		for i, it := range items {
-			out[i] = b.renewOne(node, it.ID, metas[i])
-		}
-		return out, nil
-	}
 	if err != nil {
+		sp.End(err)
 		return nil, err
 	}
 	m.renewBatches.Inc()
@@ -182,28 +171,35 @@ func (b *Base) renewNodeBatch(node string, items []lease.BatchItem) ([]lease.Bat
 			}
 		}
 		out[i].Err = ierr
-		// Each lease's renewal is still a span of the trace that installed
-		// the extension, batched or not.
-		meta := metas[i]
-		lsp := tr.StartSpanFrom(meta.sc, "lease.renew")
-		lsp.Tag("ext", meta.ext)
-		lsp.Tag("node", meta.nodeID)
-		lsp.End(ierr)
+		if len(items) > 1 {
+			// Each lease's renewal is still a span of the trace that
+			// installed the extension.
+			meta := metas[i]
+			lsp := tr.StartSpanFrom(meta.sc, "lease.renew")
+			lsp.Tag("ext", meta.ext)
+			lsp.Tag("node", meta.nodeID)
+			lsp.End(ierr)
+		}
+	}
+	if len(items) == 1 {
+		sp.End(out[0].Err)
+	} else {
+		sp.End(nil)
 	}
 	return out, nil
 }
 
-// renewMeta snapshots per-lease trace metadata (and the node's legacy flag)
-// under the node's shard lock. The result is a slice aligned with items —
-// this runs for every due batch across the fleet, and the map it used to
-// build was the renewal window's single biggest allocation.
-func (b *Base) renewMeta(node string, items []lease.BatchItem) ([]renewItemMeta, bool, bool) {
+// renewMeta snapshots per-lease trace metadata under the node's shard lock.
+// The result is a slice aligned with items — this runs for every due batch
+// across the fleet, and the map it used to build was the renewal window's
+// single biggest allocation.
+func (b *Base) renewMeta(node string, items []lease.BatchItem) ([]renewItemMeta, bool) {
 	s := b.nodes.shard(node)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := s.adapted[node]
 	if n == nil {
-		return nil, false, false
+		return nil, false
 	}
 	meta := make([]renewItemMeta, len(items))
 	for i, it := range items {
@@ -214,7 +210,7 @@ func (b *Base) renewMeta(node string, items []lease.BatchItem) ([]renewItemMeta,
 			}
 		}
 	}
-	return meta, n.legacyRenew, true
+	return meta, true
 }
 
 type renewItemMeta struct {
@@ -223,45 +219,13 @@ type renewItemMeta struct {
 	sc     trace.SpanContext
 }
 
-func (b *Base) markLegacyRenew(node string) {
-	s := b.nodes.shard(node)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n := s.adapted[node]; n != nil {
-		n.legacyRenew = true
-	}
-}
-
-// renewOne performs a singleton midas.renew, preserving the pre-batching
-// trace shape: one "lease.renew" span per renewal, a child of the push that
-// installed the extension.
-func (b *Base) renewOne(node string, id lease.ID, meta renewItemMeta) lease.BatchResult {
-	tr := b.traceRef()
-	lctx, lsp := tr.StartSpan(trace.NewContext(context.Background(), meta.sc), "lease.renew")
-	lsp.Tag("ext", meta.ext)
-	lsp.Tag("node", meta.nodeID)
-	rctx, cancel := context.WithTimeout(lctx, b.cfg.CallTimeout)
-	resp, err := transport.Invoke[RenewExtReq, RenewExtResp](rctx, b.caller, node, MethodRenewE, RenewExtReq{
-		LeaseID:   string(id),
-		DurMillis: b.cfg.LeaseDur.Milliseconds(),
-	})
-	cancel()
-	lsp.End(err)
-	if err != nil {
-		return lease.BatchResult{ID: id, Err: err}
-	}
-	granted := time.Duration(resp.DurMillis) * time.Millisecond
-	if granted <= 0 {
-		granted = b.cfg.LeaseDur
-	}
-	return lease.BatchResult{ID: id, Granted: granted}
-}
-
-// applyToNode delivers installs and revokes to one node, batched into a
-// single midas.applyBatch exchange when there is more than one operation and
-// the peer supports it. It returns per-extension outcomes; push successes are
-// logged (and counted) here, push failures and revoke outcomes are the
-// caller's to log, mirroring the singleton paths.
+// applyToNode delivers installs and revokes to one node in one
+// midas.applyBatch exchange and returns per-extension outcomes. Push
+// successes are logged (and counted) here; push failures and revoke outcomes
+// are the caller's to log. A lone install is a "base.push" span and a lone
+// revoke a "base.revoke" span in the trace that installed the extension, so
+// a single operation's trace names what it did; several share one
+// "base.pushBatch" span.
 func (b *Base) applyToNode(ctx context.Context, n *adaptedNode, installs []Extension, revokes []string) (installErrs, revokeErrs map[string]error) {
 	installErrs = make(map[string]error, len(installs))
 	revokeErrs = make(map[string]error, len(revokes))
@@ -269,36 +233,32 @@ func (b *Base) applyToNode(ctx context.Context, n *adaptedNode, installs []Exten
 		return installErrs, revokeErrs
 	}
 
-	s := b.nodes.shard(n.addr)
-	s.mu.Lock()
-	legacy := n.legacyApply
-	s.mu.Unlock()
-
-	singleton := func() {
-		for _, ext := range installs {
-			installErrs[ext.Name] = b.pushExtension(ctx, n, ext)
-		}
-		for _, name := range revokes {
-			revokeErrs[name] = b.revokeExtension(ctx, n, name)
-		}
-	}
-	if legacy || len(installs)+len(revokes) == 1 {
-		singleton()
-		return installErrs, revokeErrs
-	}
-
 	m := b.metricsRef()
 	tr := b.traceRef()
-	pctx, sp := tr.StartSpan(ctx, "base.pushBatch")
+	spanName, extName := "base.pushBatch", ""
+	switch {
+	case len(installs) == 1 && len(revokes) == 0:
+		spanName, extName = "base.push", installs[0].Name
+	case len(installs) == 0 && len(revokes) == 1:
+		spanName, extName = "base.revoke", revokes[0]
+		ctx = trace.NewContext(ctx, b.pushSpanCtx(n.addr, extName))
+	}
+	pctx, sp := tr.StartSpan(ctx, spanName)
 	sp.Tag("node", n.id)
-	sp.Annotatef("%d installs, %d revokes", len(installs), len(revokes))
+	if extName != "" {
+		sp.Tag("ext", extName)
+	} else {
+		sp.Annotatef("%d installs, %d revokes", len(installs), len(revokes))
+	}
 
 	req := ApplyBatchReq{Revokes: revokes}
 	sent := make([]Extension, 0, len(installs))
+	var firstErr error
 	for _, ext := range installs {
 		signed, err := b.signedFor(ext)
 		if err != nil {
 			installErrs[ext.Name] = err
+			firstErr = cmp.Or(firstErr, err)
 			continue
 		}
 		req.Installs = append(req.Installs, InstallReq{
@@ -308,26 +268,16 @@ func (b *Base) applyToNode(ctx context.Context, n *adaptedNode, installs []Exten
 		})
 		sent = append(sent, ext)
 	}
+	if len(req.Installs)+len(req.Revokes) == 0 {
+		sp.End(firstErr)
+		return installErrs, revokeErrs
+	}
 
 	ictx, cancel := context.WithTimeout(pctx, b.cfg.CallTimeout)
 	resp, err := transport.Invoke[ApplyBatchReq, ApplyBatchResp](ictx, b.caller, n.addr, MethodApplyBatch, req)
 	cancel()
-	if errors.Is(err, transport.ErrNoMethod) {
-		sp.Annotatef("peer has no batch surface; falling back to singletons")
-		sp.End(nil)
-		s.mu.Lock()
-		n.legacyApply = true
-		s.mu.Unlock()
-		m.batchFallbacks.Inc()
-		singleton()
-		return installErrs, revokeErrs
-	}
-	// Capture the identity before End: a sampled-out span is recycled there,
-	// and Context on the recycled handle would mint an ID for whatever span
-	// owns the pooled storage next.
-	batchSC := sp.Context()
-	sp.End(err)
 	if err != nil {
+		sp.End(err)
 		werr := fmt.Errorf("core: apply batch to %s: %w", n.addr, err)
 		for _, ext := range sent {
 			installErrs[ext.Name] = werr
@@ -338,14 +288,20 @@ func (b *Base) applyToNode(ctx context.Context, n *adaptedNode, installs []Exten
 		return installErrs, revokeErrs
 	}
 	m.pushBatches.Inc()
+	// Capture the identity before End: a sampled-out span is recycled there,
+	// and Context on the recycled handle would mint an ID for whatever span
+	// owns the pooled storage next.
+	pushSC := sp.Context()
 
 	for i, ext := range sent {
 		if i >= len(resp.Installs) {
 			installErrs[ext.Name] = fmt.Errorf("core: apply batch to %s: truncated response", n.addr)
+			firstErr = cmp.Or(firstErr, installErrs[ext.Name])
 			continue
 		}
 		if e := resp.Installs[i].Err; e != "" {
 			installErrs[ext.Name] = fmt.Errorf("core: push %q to %s: %w", ext.Name, n.addr, transport.NewRemoteError(MethodApplyBatch, e))
+			firstErr = cmp.Or(firstErr, installErrs[ext.Name])
 			continue
 		}
 		installErrs[ext.Name] = nil
@@ -356,20 +312,24 @@ func (b *Base) applyToNode(ctx context.Context, n *adaptedNode, installs []Exten
 			dur:      b.cfg.LeaseDur,
 			deadline: b.cfg.Clock.Now().Add(b.cfg.LeaseDur),
 		}
-		if !b.trackGrant(n, ext.Name, g, b.cfg.LeaseDur, batchSC) {
+		if !b.trackGrant(n, ext.Name, g, b.cfg.LeaseDur, pushSC) {
+			// The node departed (or the base closed) while the push was in
+			// flight: there is no tracked node to keep alive, so no renewal
+			// is scheduled — the receiver's lease will lapse on its own.
 			b.log("push", n.id, ext.Name, "node gone mid-push; lease left to expire")
 		}
 	}
 	for i, name := range revokes {
 		if i >= len(resp.Revokes) {
 			revokeErrs[name] = fmt.Errorf("core: apply batch to %s: truncated response", n.addr)
-			continue
-		}
-		if e := resp.Revokes[i].Err; e != "" {
+		} else if e := resp.Revokes[i].Err; e != "" {
 			revokeErrs[name] = transport.NewRemoteError(MethodApplyBatch, e)
+		} else {
+			revokeErrs[name] = nil
 			continue
 		}
-		revokeErrs[name] = nil
+		firstErr = cmp.Or(firstErr, revokeErrs[name])
 	}
+	sp.End(firstErr)
 	return installErrs, revokeErrs
 }

@@ -15,16 +15,10 @@ import (
 // Fleet aggregation: the base's view of what every node's RPC surface is
 // doing, without a scrape loop over 100k nodes. Nodes piggyback compact
 // metric deltas (per-method RED counters plus trace-drop stats) on the
-// midas.renewBatch responses they were sending anyway — the base asks with
-// WantObs, so a node never volunteers trailing bytes an old base would choke
-// on — and the base merges them into per-node and fleet-rollup views served
-// at /fleet and over the base.fleet RPC (rendered live by `midasctl top`).
-//
-// Interop follows the PR 6/7 playbook: the new fields are optional trailing
-// fields of the existing batch messages. Old nodes wire-decoding a WantObs
-// request fail with ErrDecode, which the fabric already translates into a
-// remembered per-peer gob fallback — and gob ignores unknown fields — so
-// mixed fleets keep renewing; they simply contribute no observability.
+// midas.renewBatch responses they were sending anyway — only when the base
+// asks with WantObs — and the base merges them into per-node and
+// fleet-rollup views served at /fleet and over the base.fleet RPC (rendered
+// live by `midasctl top`).
 
 // MethodBaseFleet serves the merged fleet observability view.
 const MethodBaseFleet = "base.fleet"
@@ -78,8 +72,7 @@ type (
 		Reports  uint64
 		// Overload is the base's overload-control status (concurrency limit,
 		// queue depth, shed counters) when the control plane is enabled; nil
-		// otherwise. FleetResp travels as gob, which tolerates the field's
-		// absence in either direction, so old peers interoperate untouched.
+		// otherwise.
 		Overload *overload.Snapshot
 	}
 )

@@ -39,12 +39,13 @@ func TestObsPiggybackOverRPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := transport.Invoke[InstallReq, InstallResp](ctx, caller, "node-1", MethodInstall, InstallReq{
-		Signed: signed, BaseAddr: "base-1", DurMillis: 60_000,
+	applied, err := transport.Invoke[ApplyBatchReq, ApplyBatchResp](ctx, caller, "node-1", MethodApplyBatch, ApplyBatchReq{
+		Installs: []InstallReq{{Signed: signed, BaseAddr: "base-1", DurMillis: 60_000}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	inst := applied.Installs[0]
 
 	// Without WantObs the response must carry nothing extra.
 	bare, err := transport.Invoke[RenewBatchReq, RenewBatchResp](ctx, caller, "node-1", MethodRenewBatch, RenewBatchReq{
@@ -74,7 +75,7 @@ func TestObsPiggybackOverRPC(t *testing.T) {
 	// The install and both renewBatch calls went through the RED handler; the
 	// report must carry their counts (the in-flight renewBatch observes after
 	// the handler returns, so the report sees the previous two).
-	if d := deltas[MethodInstall]; d.Count != 1 || d.SumNs < 0 {
+	if d := deltas[MethodApplyBatch]; d.Count != 1 || d.SumNs < 0 {
 		t.Fatalf("install delta = %+v, want count 1", d)
 	}
 	if d := deltas[MethodRenewBatch]; d.Count != 1 {
@@ -96,7 +97,7 @@ func TestObsPiggybackOverRPC(t *testing.T) {
 		t.Fatal("second WantObs response carried no report")
 	}
 	for _, m := range resp2.Obs.Methods {
-		if m.Method == MethodInstall {
+		if m.Method == MethodApplyBatch {
 			t.Fatalf("install re-reported in the second delta: %+v", m)
 		}
 		if m.Method == MethodRenewBatch && m.Count != 1 {

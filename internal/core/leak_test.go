@@ -45,7 +45,7 @@ func TestNoGoroutineLeaksOnTeardown(t *testing.T) {
 		baseline, runtime.NumGoroutine(), buf[:n])
 }
 
-// slowPushCaller parks install traffic (singleton and batched) until release
+// slowPushCaller parks install traffic until release
 // is closed, so a test can interleave Release/Close with an in-flight push,
 // and counts renewal attempts arriving afterwards.
 type slowPushCaller struct {
@@ -56,10 +56,6 @@ type slowPushCaller struct {
 
 func (c *slowPushCaller) Call(_ context.Context, _, method string, req, resp any) error {
 	switch method {
-	case MethodInstall:
-		c.installing <- struct{}{}
-		<-c.release
-		*(resp.(*InstallResp)) = InstallResp{LeaseID: "L1"}
 	case MethodApplyBatch:
 		c.installing <- struct{}{}
 		<-c.release
@@ -68,9 +64,6 @@ func (c *slowPushCaller) Call(_ context.Context, _, method string, req, resp any
 			out.Installs = append(out.Installs, InstallItemResp{LeaseID: "L" + string(rune('1'+i))})
 		}
 		*(resp.(*ApplyBatchResp)) = out
-	case MethodRenewE:
-		c.renews.Add(1)
-		*(resp.(*RenewExtResp)) = RenewExtResp{DurMillis: time.Minute.Milliseconds()}
 	case MethodRenewBatch:
 		c.renews.Add(1)
 		out := RenewBatchResp{}

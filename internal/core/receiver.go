@@ -744,42 +744,32 @@ func (r *Receiver) Advertise(client *registry.Client, dur time.Duration, attrs m
 	}, nil
 }
 
-// RPC method names served by a receiver.
+// RPC method names served by a receiver (the batch methods are in batch.go).
 const (
-	MethodInstall = "midas.install"
-	MethodRenewE  = "midas.renew"
-	MethodRevoke  = "midas.revoke"
 	MethodList    = "midas.list"
 	MethodMetrics = "midas.metrics"
 	MethodTrace   = "midas.trace"
 )
 
+// MethodInstall names the former singleton install RPC. No receiver serves
+// it: an install is an applyBatch of one. Only the benchmark (perfbench)
+// still refers to the name; it goes with the next change to the benchmark.
+const MethodInstall = "midas.install"
+
 // Wire types for the receiver RPC surface.
 type (
-	// InstallReq pushes a signed extension.
+	// InstallReq pushes a signed extension; it is one item of an
+	// ApplyBatchReq.
 	InstallReq struct {
 		Signed    SignedExtension
 		BaseAddr  string
 		DurMillis int64
 	}
-	// InstallResp returns the lease handle.
-	InstallResp struct {
-		LeaseID string
-	}
-	// RenewExtReq keeps an extension alive.
+	// RenewExtReq keeps an extension alive; it is one item of a
+	// RenewBatchReq.
 	RenewExtReq struct {
 		LeaseID   string
 		DurMillis int64
-	}
-	// RenewExtResp reports the actually granted duration, which a receiver
-	// may shorten; the base's renewer adopts it so renewals keep fitting
-	// inside the lease.
-	RenewExtResp struct {
-		DurMillis int64
-	}
-	// RevokeReq withdraws an extension by name.
-	RevokeReq struct {
-		Name string
 	}
 	// ListResp describes installed extensions.
 	ListResp struct {
@@ -806,30 +796,8 @@ type (
 // ServeOn registers the receiver's RPC surface on mux.
 func (r *Receiver) ServeOn(mux *transport.Mux) {
 	r.serveBatch(mux)
-	transport.Register(mux, MethodInstall, func(ctx context.Context, req InstallReq) (InstallResp, error) {
-		id, err := r.InstallCtx(ctx, req.Signed, req.BaseAddr, time.Duration(req.DurMillis)*time.Millisecond)
-		if err != nil {
-			return InstallResp{}, err
-		}
-		return InstallResp{LeaseID: string(id)}, nil
-	})
-	transport.Register(mux, MethodRenewE, func(ctx context.Context, req RenewExtReq) (RenewExtResp, error) {
-		l, err := r.renewLease(ctx, lease.ID(req.LeaseID), time.Duration(req.DurMillis)*time.Millisecond)
-		if err != nil {
-			return RenewExtResp{}, err
-		}
-		return RenewExtResp{DurMillis: l.Duration.Milliseconds()}, nil
-	})
 	transport.Register(mux, MethodInventory, func(_ context.Context, _ EmptyResp) (InventoryResp, error) {
 		return InventoryResp{Node: r.cfg.NodeName, Items: r.Inventory()}, nil
-	})
-	transport.Register(mux, MethodRevoke, func(ctx context.Context, req RevokeReq) (EmptyResp, error) {
-		// A revoke of something already gone is a success: the base may be
-		// retrying a revocation whose response was lost.
-		if err := r.WithdrawCtx(ctx, req.Name); err != nil && !errors.Is(err, ErrNotInstalled) {
-			return EmptyResp{}, err
-		}
-		return EmptyResp{}, nil
 	})
 	transport.Register(mux, MethodList, func(_ context.Context, _ EmptyResp) (ListResp, error) {
 		return ListResp{Extensions: r.Installed()}, nil

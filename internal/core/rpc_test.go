@@ -9,8 +9,8 @@ import (
 	"repro/internal/transport"
 )
 
-// TestReceiverRPCSurface exercises every midas.* method over a real
-// transport, including the TCP fabric.
+// TestReceiverRPCSurface exercises the receiver's midas.* methods over the
+// TCP fabric: install, renew and revoke as batches of one, and list.
 func TestReceiverRPCSurface(t *testing.T) {
 	n := newTestNode(t)
 	mux := transport.NewMux()
@@ -28,23 +28,32 @@ func TestReceiverRPCSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	installResp, err := transport.Invoke[InstallReq, InstallResp](ctx, caller, srv.Addr(), MethodInstall, InstallReq{
-		Signed:    signed,
-		BaseAddr:  "base-1",
-		DurMillis: 60_000,
+	applied, err := transport.Invoke[ApplyBatchReq, ApplyBatchResp](ctx, caller, srv.Addr(), MethodApplyBatch, ApplyBatchReq{
+		Installs: []InstallReq{{Signed: signed, BaseAddr: "base-1", DurMillis: 60_000}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if installResp.LeaseID == "" {
-		t.Fatal("no lease over RPC")
+	if len(applied.Installs) != 1 || applied.Installs[0].Err != "" || applied.Installs[0].LeaseID == "" {
+		t.Fatalf("install outcome = %+v, want a lease", applied.Installs)
 	}
+	leaseID := applied.Installs[0].LeaseID
 
-	if _, err := transport.Invoke[RenewExtReq, RenewExtResp](ctx, caller, srv.Addr(), MethodRenewE, RenewExtReq{
-		LeaseID:   installResp.LeaseID,
-		DurMillis: 60_000,
-	}); err != nil {
-		t.Fatal(err)
+	renew := func() RenewItemResp {
+		t.Helper()
+		resp, err := transport.Invoke[RenewBatchReq, RenewBatchResp](ctx, caller, srv.Addr(), MethodRenewBatch, RenewBatchReq{
+			Items: []RenewExtReq{{LeaseID: leaseID, DurMillis: 60_000}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Items) != 1 {
+			t.Fatalf("renew outcomes = %+v, want 1", resp.Items)
+		}
+		return resp.Items[0]
+	}
+	if got := renew(); got.Err != "" || got.DurMillis != 60_000 {
+		t.Fatalf("renew = %+v, want 60000 ms granted", got)
 	}
 
 	listResp, err := transport.Invoke[EmptyResp, ListResp](ctx, caller, srv.Addr(), MethodList, EmptyResp{})
@@ -55,19 +64,25 @@ func TestReceiverRPCSurface(t *testing.T) {
 		t.Fatalf("list = %+v", listResp.Extensions)
 	}
 
-	if _, err := transport.Invoke[RevokeReq, EmptyResp](ctx, caller, srv.Addr(), MethodRevoke, RevokeReq{Name: "remote-ext"}); err != nil {
-		t.Fatal(err)
+	// Revoking twice: the second revoke finds nothing and still succeeds, so
+	// a base retrying a revoke whose response was lost sees it done.
+	for i := 0; i < 2; i++ {
+		revoked, err := transport.Invoke[ApplyBatchReq, ApplyBatchResp](ctx, caller, srv.Addr(), MethodApplyBatch, ApplyBatchReq{
+			Revokes: []string{"remote-ext"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(revoked.Revokes) != 1 || revoked.Revokes[0].Err != "" {
+			t.Fatalf("revoke %d outcome = %+v, want success", i, revoked.Revokes)
+		}
 	}
 	if n.receiver.Has("remote-ext") {
 		t.Fatal("revoked extension still installed")
 	}
 
-	// Renewing the cancelled lease now fails remotely.
-	_, err = transport.Invoke[RenewExtReq, RenewExtResp](ctx, caller, srv.Addr(), MethodRenewE, RenewExtReq{
-		LeaseID:   installResp.LeaseID,
-		DurMillis: 60_000,
-	})
-	if err == nil {
+	// Renewing the cancelled lease now fails remotely, for that item only.
+	if got := renew(); got.Err == "" {
 		t.Fatal("renew of revoked lease should fail")
 	}
 }

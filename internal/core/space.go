@@ -10,6 +10,7 @@ import (
 	"repro/internal/sign"
 	"repro/internal/transport"
 	"repro/internal/tuplespace"
+	"repro/internal/wire"
 )
 
 // Tuple-space distribution: the alternative extension-distribution substrate
@@ -30,10 +31,7 @@ func PublishExtension(sp *tuplespace.Space, signer *sign.Signer, ext Extension, 
 	if err != nil {
 		return nil, err
 	}
-	payload, err := transport.Encode(signed)
-	if err != nil {
-		return nil, err
-	}
+	payload := wire.Marshal(signed)
 	t := tuplespace.Tuple{
 		tuplespace.FStr(extensionTupleTag),
 		tuplespace.FStr(ext.Name),

@@ -1,14 +1,17 @@
 package core
 
-import "repro/internal/wire"
+import (
+	"repro/internal/overload"
+	"repro/internal/store"
+	"repro/internal/trace"
+	"repro/internal/wire"
+)
 
-// Wire codecs for the hot RPC message types: renew/renewBatch (the renewal
-// window's per-lease cost), applyBatch install/revoke items (adapt and
-// reconcile pushes), and the inventory exchange (anti-entropy rounds). Each
-// type writes its fields in declaration order; slices and maps go through the
-// codec's count-prefixed, key-sorted forms so equal values always produce
-// equal bytes (golden vectors and same-seed replays depend on it). The cold
-// surface (list/metrics/trace) stays on gob — transport falls back per type.
+// Wire codecs for every message of the base and receiver RPC surfaces. Each
+// type writes its fields in declaration order; slices and maps go through
+// the codec's count-prefixed, key-sorted forms so equal values always produce
+// equal bytes (golden vectors and same-seed replays depend on it). An
+// optional nested message is a presence bool followed by the message.
 
 // MarshalWire encodes a with the wire codec.
 func (a AdviceSpec) MarshalWire(e *wire.Encoder) {
@@ -37,10 +40,7 @@ func (x Extension) MarshalWire(e *wire.Encoder) {
 	e.String(x.Name)
 	e.Varint(int64(x.Version))
 	e.Varint(int64(x.Priority))
-	e.Len(len(x.Advices))
-	for _, a := range x.Advices {
-		a.MarshalWire(e)
-	}
+	wire.Slice(e, x.Advices)
 	e.StringSlice(x.Requires)
 	e.StringSlice(x.Caps)
 	e.StringSlice(x.Flows)
@@ -53,16 +53,7 @@ func (x *Extension) UnmarshalWire(d *wire.Decoder) error {
 	x.Name = d.String()
 	x.Version = int(d.Varint())
 	x.Priority = int(d.Varint())
-	if n := d.Len(); n > 0 {
-		x.Advices = make([]AdviceSpec, n)
-		for i := range x.Advices {
-			if err := x.Advices[i].UnmarshalWire(d); err != nil {
-				return err
-			}
-		}
-	} else {
-		x.Advices = nil
-	}
+	x.Advices = wire.DecodeSlice[AdviceSpec](d)
 	x.Requires = d.StringSlice()
 	x.Caps = d.StringSlice()
 	x.Flows = d.StringSlice()
@@ -121,15 +112,6 @@ func (r *InstallReq) UnmarshalWire(d *wire.Decoder) error {
 }
 
 // MarshalWire encodes r with the wire codec.
-func (r InstallResp) MarshalWire(e *wire.Encoder) { e.String(r.LeaseID) }
-
-// UnmarshalWire decodes r from the wire codec.
-func (r *InstallResp) UnmarshalWire(d *wire.Decoder) error {
-	r.LeaseID = d.String()
-	return d.Err()
-}
-
-// MarshalWire encodes r with the wire codec.
 func (r RenewExtReq) MarshalWire(e *wire.Encoder) {
 	e.String(r.LeaseID)
 	e.Varint(r.DurMillis)
@@ -143,43 +125,11 @@ func (r *RenewExtReq) UnmarshalWire(d *wire.Decoder) error {
 }
 
 // MarshalWire encodes r with the wire codec.
-func (r RenewExtResp) MarshalWire(e *wire.Encoder) { e.Varint(r.DurMillis) }
-
-// UnmarshalWire decodes r from the wire codec.
-func (r *RenewExtResp) UnmarshalWire(d *wire.Decoder) error {
-	r.DurMillis = d.Varint()
-	return d.Err()
-}
-
-// MarshalWire encodes r with the wire codec.
-func (r RevokeReq) MarshalWire(e *wire.Encoder) { e.String(r.Name) }
-
-// UnmarshalWire decodes r from the wire codec.
-func (r *RevokeReq) UnmarshalWire(d *wire.Decoder) error {
-	r.Name = d.String()
-	return d.Err()
-}
-
-// MarshalWire encodes r with the wire codec.
-func (r ListResp) MarshalWire(e *wire.Encoder) {
-	e.Len(len(r.Extensions))
-	for _, x := range r.Extensions {
-		x.MarshalWire(e)
-	}
-}
+func (r ListResp) MarshalWire(e *wire.Encoder) { wire.Slice(e, r.Extensions) }
 
 // UnmarshalWire decodes r from the wire codec.
 func (r *ListResp) UnmarshalWire(d *wire.Decoder) error {
-	if n := d.Len(); n > 0 {
-		r.Extensions = make([]ExtensionInfo, n)
-		for i := range r.Extensions {
-			if err := r.Extensions[i].UnmarshalWire(d); err != nil {
-				return err
-			}
-		}
-	} else {
-		r.Extensions = nil
-	}
+	r.Extensions = wire.DecodeSlice[ExtensionInfo](d)
 	return d.Err()
 }
 
@@ -189,32 +139,16 @@ func (r EmptyResp) MarshalWire(e *wire.Encoder) {}
 // UnmarshalWire decodes r from the wire codec.
 func (r *EmptyResp) UnmarshalWire(d *wire.Decoder) error { return d.Err() }
 
-// MarshalWire encodes r with the wire codec. WantObs is a trailing optional
-// field written only when set, so un-instrumented fleets produce the exact
-// bytes of the previous wire generation (golden vectors included).
+// MarshalWire encodes r with the wire codec.
 func (r RenewBatchReq) MarshalWire(e *wire.Encoder) {
-	e.Len(len(r.Items))
-	for _, it := range r.Items {
-		it.MarshalWire(e)
-	}
-	if r.WantObs {
-		e.Bool(true)
-	}
+	wire.Slice(e, r.Items)
+	e.Bool(r.WantObs)
 }
 
 // UnmarshalWire decodes r from the wire codec.
 func (r *RenewBatchReq) UnmarshalWire(d *wire.Decoder) error {
-	if n := d.Len(); n > 0 {
-		r.Items = make([]RenewExtReq, n)
-		for i := range r.Items {
-			if err := r.Items[i].UnmarshalWire(d); err != nil {
-				return err
-			}
-		}
-	} else {
-		r.Items = nil
-	}
-	r.WantObs = d.More() && d.Bool()
+	r.Items = wire.DecodeSlice[RenewExtReq](d)
+	r.WantObs = d.Bool()
 	return d.Err()
 }
 
@@ -231,14 +165,10 @@ func (r *RenewItemResp) UnmarshalWire(d *wire.Decoder) error {
 	return d.Err()
 }
 
-// MarshalWire encodes r with the wire codec. The piggybacked ObsReport is a
-// trailing optional field written only when present — a node only attaches it
-// when the request asked (WantObs), so old bases never see the extra bytes.
+// MarshalWire encodes r with the wire codec.
 func (r RenewBatchResp) MarshalWire(e *wire.Encoder) {
-	e.Len(len(r.Items))
-	for _, it := range r.Items {
-		it.MarshalWire(e)
-	}
+	wire.Slice(e, r.Items)
+	e.Bool(r.Obs != nil)
 	if r.Obs != nil {
 		r.Obs.MarshalWire(e)
 	}
@@ -246,22 +176,11 @@ func (r RenewBatchResp) MarshalWire(e *wire.Encoder) {
 
 // UnmarshalWire decodes r from the wire codec.
 func (r *RenewBatchResp) UnmarshalWire(d *wire.Decoder) error {
-	if n := d.Len(); n > 0 {
-		r.Items = make([]RenewItemResp, n)
-		for i := range r.Items {
-			if err := r.Items[i].UnmarshalWire(d); err != nil {
-				return err
-			}
-		}
-	} else {
-		r.Items = nil
-	}
+	r.Items = wire.DecodeSlice[RenewItemResp](d)
 	r.Obs = nil
-	if d.More() {
+	if d.Bool() {
 		r.Obs = new(ObsReport)
-		if err := r.Obs.UnmarshalWire(d); err != nil {
-			return err
-		}
+		return r.Obs.UnmarshalWire(d)
 	}
 	return d.Err()
 }
@@ -285,10 +204,7 @@ func (m *ObsMethodDelta) UnmarshalWire(d *wire.Decoder) error {
 
 // MarshalWire encodes r with the wire codec.
 func (r ObsReport) MarshalWire(e *wire.Encoder) {
-	e.Len(len(r.Methods))
-	for _, m := range r.Methods {
-		m.MarshalWire(e)
-	}
+	wire.Slice(e, r.Methods)
 	e.Uvarint(r.SpansDropped)
 	e.Uvarint(r.SampledOut)
 	e.Uvarint(r.TailKept)
@@ -296,16 +212,7 @@ func (r ObsReport) MarshalWire(e *wire.Encoder) {
 
 // UnmarshalWire decodes r from the wire codec.
 func (r *ObsReport) UnmarshalWire(d *wire.Decoder) error {
-	if n := d.Len(); n > 0 {
-		r.Methods = make([]ObsMethodDelta, n)
-		for i := range r.Methods {
-			if err := r.Methods[i].UnmarshalWire(d); err != nil {
-				return err
-			}
-		}
-	} else {
-		r.Methods = nil
-	}
+	r.Methods = wire.DecodeSlice[ObsMethodDelta](d)
 	r.SpansDropped = d.Uvarint()
 	r.SampledOut = d.Uvarint()
 	r.TailKept = d.Uvarint()
@@ -314,25 +221,13 @@ func (r *ObsReport) UnmarshalWire(d *wire.Decoder) error {
 
 // MarshalWire encodes r with the wire codec.
 func (r ApplyBatchReq) MarshalWire(e *wire.Encoder) {
-	e.Len(len(r.Installs))
-	for _, it := range r.Installs {
-		it.MarshalWire(e)
-	}
+	wire.Slice(e, r.Installs)
 	e.StringSlice(r.Revokes)
 }
 
 // UnmarshalWire decodes r from the wire codec.
 func (r *ApplyBatchReq) UnmarshalWire(d *wire.Decoder) error {
-	if n := d.Len(); n > 0 {
-		r.Installs = make([]InstallReq, n)
-		for i := range r.Installs {
-			if err := r.Installs[i].UnmarshalWire(d); err != nil {
-				return err
-			}
-		}
-	} else {
-		r.Installs = nil
-	}
+	r.Installs = wire.DecodeSlice[InstallReq](d)
 	r.Revokes = d.StringSlice()
 	return d.Err()
 }
@@ -361,38 +256,14 @@ func (r *RevokeItemResp) UnmarshalWire(d *wire.Decoder) error {
 
 // MarshalWire encodes r with the wire codec.
 func (r ApplyBatchResp) MarshalWire(e *wire.Encoder) {
-	e.Len(len(r.Installs))
-	for _, it := range r.Installs {
-		it.MarshalWire(e)
-	}
-	e.Len(len(r.Revokes))
-	for _, it := range r.Revokes {
-		it.MarshalWire(e)
-	}
+	wire.Slice(e, r.Installs)
+	wire.Slice(e, r.Revokes)
 }
 
 // UnmarshalWire decodes r from the wire codec.
 func (r *ApplyBatchResp) UnmarshalWire(d *wire.Decoder) error {
-	if n := d.Len(); n > 0 {
-		r.Installs = make([]InstallItemResp, n)
-		for i := range r.Installs {
-			if err := r.Installs[i].UnmarshalWire(d); err != nil {
-				return err
-			}
-		}
-	} else {
-		r.Installs = nil
-	}
-	if n := d.Len(); n > 0 {
-		r.Revokes = make([]RevokeItemResp, n)
-		for i := range r.Revokes {
-			if err := r.Revokes[i].UnmarshalWire(d); err != nil {
-				return err
-			}
-		}
-	} else {
-		r.Revokes = nil
-	}
+	r.Installs = wire.DecodeSlice[InstallItemResp](d)
+	r.Revokes = wire.DecodeSlice[RevokeItemResp](d)
 	return d.Err()
 }
 
@@ -418,24 +289,264 @@ func (i *InventoryItem) UnmarshalWire(d *wire.Decoder) error {
 // MarshalWire encodes r with the wire codec.
 func (r InventoryResp) MarshalWire(e *wire.Encoder) {
 	e.String(r.Node)
-	e.Len(len(r.Items))
-	for _, it := range r.Items {
-		it.MarshalWire(e)
-	}
+	wire.Slice(e, r.Items)
 }
 
 // UnmarshalWire decodes r from the wire codec.
 func (r *InventoryResp) UnmarshalWire(d *wire.Decoder) error {
 	r.Node = d.String()
-	if n := d.Len(); n > 0 {
-		r.Items = make([]InventoryItem, n)
-		for i := range r.Items {
-			if err := r.Items[i].UnmarshalWire(d); err != nil {
-				return err
-			}
-		}
-	} else {
-		r.Items = nil
+	r.Items = wire.DecodeSlice[InventoryItem](d)
+	return d.Err()
+}
+
+// MarshalWire encodes r with the wire codec.
+func (r MetricsResp) MarshalWire(e *wire.Encoder) { r.Snap.MarshalWire(e) }
+
+// UnmarshalWire decodes r from the wire codec.
+func (r *MetricsResp) UnmarshalWire(d *wire.Decoder) error { return r.Snap.UnmarshalWire(d) }
+
+// MarshalWire encodes r with the wire codec.
+func (r TraceReq) MarshalWire(e *wire.Encoder) { e.String(r.Query) }
+
+// UnmarshalWire decodes r from the wire codec.
+func (r *TraceReq) UnmarshalWire(d *wire.Decoder) error {
+	r.Query = d.String()
+	return d.Err()
+}
+
+// MarshalWire encodes r with the wire codec.
+func (r TraceResp) MarshalWire(e *wire.Encoder) {
+	wire.Slice(e, r.Spans)
+	wire.Slice(e, r.Events)
+}
+
+// UnmarshalWire decodes r from the wire codec.
+func (r *TraceResp) UnmarshalWire(d *wire.Decoder) error {
+	r.Spans = wire.DecodeSlice[trace.SpanSnapshot](d)
+	r.Events = wire.DecodeSlice[trace.Event](d)
+	return d.Err()
+}
+
+// MarshalWire encodes r with the wire codec.
+func (r PostReq) MarshalWire(e *wire.Encoder) { r.Record.MarshalWire(e) }
+
+// UnmarshalWire decodes r from the wire codec.
+func (r *PostReq) UnmarshalWire(d *wire.Decoder) error { return r.Record.UnmarshalWire(d) }
+
+// MarshalWire encodes r with the wire codec.
+func (r RoamReq) MarshalWire(e *wire.Encoder) {
+	e.String(r.NodeID)
+	e.String(r.NodeAddr)
+}
+
+// UnmarshalWire decodes r from the wire codec.
+func (r *RoamReq) UnmarshalWire(d *wire.Decoder) error {
+	r.NodeID = d.String()
+	r.NodeAddr = d.String()
+	return d.Err()
+}
+
+// MarshalWire encodes r with the wire codec.
+func (r QueryReq) MarshalWire(e *wire.Encoder) { r.Filter.MarshalWire(e) }
+
+// UnmarshalWire decodes r from the wire codec.
+func (r *QueryReq) UnmarshalWire(d *wire.Decoder) error { return r.Filter.UnmarshalWire(d) }
+
+// MarshalWire encodes r with the wire codec.
+func (r QueryResp) MarshalWire(e *wire.Encoder) { wire.Slice(e, r.Records) }
+
+// UnmarshalWire decodes r from the wire codec.
+func (r *QueryResp) UnmarshalWire(d *wire.Decoder) error {
+	r.Records = wire.DecodeSlice[store.Record](d)
+	return d.Err()
+}
+
+// MarshalWire encodes r with the wire codec.
+func (r AnalysisReport) MarshalWire(e *wire.Encoder) {
+	e.String(r.Ext)
+	e.Varint(int64(r.Version))
+	e.StringSlice(r.Caps)
+	e.StringSlice(r.HostCalls)
+	e.StringSlice(r.Flows)
+	e.Bool(r.FuelBounded)
+	e.Varint(int64(r.FuelSteps))
+	e.StringSlice(r.Warnings)
+}
+
+// UnmarshalWire decodes r from the wire codec.
+func (r *AnalysisReport) UnmarshalWire(d *wire.Decoder) error {
+	r.Ext = d.String()
+	r.Version = int(d.Varint())
+	r.Caps = d.StringSlice()
+	r.HostCalls = d.StringSlice()
+	r.Flows = d.StringSlice()
+	r.FuelBounded = d.Bool()
+	r.FuelSteps = int(d.Varint())
+	r.Warnings = d.StringSlice()
+	return d.Err()
+}
+
+// MarshalWire encodes r with the wire codec.
+func (r AnalyzeReq) MarshalWire(e *wire.Encoder) { e.String(r.Ext) }
+
+// UnmarshalWire decodes r from the wire codec.
+func (r *AnalyzeReq) UnmarshalWire(d *wire.Decoder) error {
+	r.Ext = d.String()
+	return d.Err()
+}
+
+// MarshalWire encodes r with the wire codec.
+func (r AnalyzeResp) MarshalWire(e *wire.Encoder) { r.Report.MarshalWire(e) }
+
+// UnmarshalWire decodes r from the wire codec.
+func (r *AnalyzeResp) UnmarshalWire(d *wire.Decoder) error { return r.Report.UnmarshalWire(d) }
+
+// MarshalWire encodes r with the wire codec.
+func (r ReconcileResult) MarshalWire(e *wire.Encoder) {
+	e.Varint(r.AtMillis)
+	e.String(r.Err)
+	e.StringSlice(r.Repushed)
+	e.StringSlice(r.Revoked)
+	e.StringSlice(r.Adopted)
+	e.Bool(r.Promoted)
+	e.Bool(r.InSync)
+}
+
+// UnmarshalWire decodes r from the wire codec.
+func (r *ReconcileResult) UnmarshalWire(d *wire.Decoder) error {
+	r.AtMillis = d.Varint()
+	r.Err = d.String()
+	r.Repushed = d.StringSlice()
+	r.Revoked = d.StringSlice()
+	r.Adopted = d.StringSlice()
+	r.Promoted = d.Bool()
+	r.InSync = d.Bool()
+	return d.Err()
+}
+
+// MarshalWire encodes s with the wire codec.
+func (s NodeStatus) MarshalWire(e *wire.Encoder) {
+	e.String(s.ID)
+	e.String(s.Addr)
+	e.String(s.State)
+	e.String(s.Breaker)
+	e.StringSlice(s.Exts)
+	s.LastReconcile.MarshalWire(e)
+}
+
+// UnmarshalWire decodes s from the wire codec.
+func (s *NodeStatus) UnmarshalWire(d *wire.Decoder) error {
+	s.ID = d.String()
+	s.Addr = d.String()
+	s.State = d.String()
+	s.Breaker = d.String()
+	s.Exts = d.StringSlice()
+	return s.LastReconcile.UnmarshalWire(d)
+}
+
+// MarshalWire encodes c with the wire codec.
+func (c DriftCounters) MarshalWire(e *wire.Encoder) {
+	e.Uvarint(c.Rounds)
+	e.Uvarint(c.Repushes)
+	e.Uvarint(c.Orphans)
+	e.Uvarint(c.Adopts)
+	e.Uvarint(c.Errors)
+}
+
+// UnmarshalWire decodes c from the wire codec.
+func (c *DriftCounters) UnmarshalWire(d *wire.Decoder) error {
+	c.Rounds = d.Uvarint()
+	c.Repushes = d.Uvarint()
+	c.Orphans = d.Uvarint()
+	c.Adopts = d.Uvarint()
+	c.Errors = d.Uvarint()
+	return d.Err()
+}
+
+// MarshalWire encodes r with the wire codec.
+func (r BaseStatusResp) MarshalWire(e *wire.Encoder) {
+	e.String(r.Name)
+	e.String(r.Addr)
+	e.StringSlice(r.Extensions)
+	wire.Slice(e, r.Nodes)
+	r.Drift.MarshalWire(e)
+}
+
+// UnmarshalWire decodes r from the wire codec.
+func (r *BaseStatusResp) UnmarshalWire(d *wire.Decoder) error {
+	r.Name = d.String()
+	r.Addr = d.String()
+	r.Extensions = d.StringSlice()
+	r.Nodes = wire.DecodeSlice[NodeStatus](d)
+	return r.Drift.UnmarshalWire(d)
+}
+
+// MarshalWire encodes m with the wire codec.
+func (m FleetMethod) MarshalWire(e *wire.Encoder) {
+	e.String(m.Method)
+	e.Uvarint(m.Count)
+	e.Uvarint(m.Errors)
+	e.Varint(m.SumNs)
+	e.Varint(m.MeanNs)
+}
+
+// UnmarshalWire decodes m from the wire codec.
+func (m *FleetMethod) UnmarshalWire(d *wire.Decoder) error {
+	m.Method = d.String()
+	m.Count = d.Uvarint()
+	m.Errors = d.Uvarint()
+	m.SumNs = d.Varint()
+	m.MeanNs = d.Varint()
+	return d.Err()
+}
+
+// MarshalWire encodes n with the wire codec.
+func (n FleetNode) MarshalWire(e *wire.Encoder) {
+	e.String(n.Node)
+	e.Uvarint(n.Count)
+	e.Uvarint(n.Errors)
+	e.Varint(n.SumNs)
+	e.Uvarint(n.SpansDropped)
+	e.Uvarint(n.SampledOut)
+	e.Uvarint(n.TailKept)
+	e.Varint(n.LastReportMillis)
+}
+
+// UnmarshalWire decodes n from the wire codec.
+func (n *FleetNode) UnmarshalWire(d *wire.Decoder) error {
+	n.Node = d.String()
+	n.Count = d.Uvarint()
+	n.Errors = d.Uvarint()
+	n.SumNs = d.Varint()
+	n.SpansDropped = d.Uvarint()
+	n.SampledOut = d.Uvarint()
+	n.TailKept = d.Uvarint()
+	n.LastReportMillis = d.Varint()
+	return d.Err()
+}
+
+// MarshalWire encodes r with the wire codec.
+func (r FleetResp) MarshalWire(e *wire.Encoder) {
+	wire.Slice(e, r.Methods)
+	wire.Slice(e, r.Nodes)
+	e.StringSlice(r.Degraded)
+	e.Uvarint(r.Reports)
+	e.Bool(r.Overload != nil)
+	if r.Overload != nil {
+		r.Overload.MarshalWire(e)
+	}
+}
+
+// UnmarshalWire decodes r from the wire codec.
+func (r *FleetResp) UnmarshalWire(d *wire.Decoder) error {
+	r.Methods = wire.DecodeSlice[FleetMethod](d)
+	r.Nodes = wire.DecodeSlice[FleetNode](d)
+	r.Degraded = d.StringSlice()
+	r.Reports = d.Uvarint()
+	r.Overload = nil
+	if d.Bool() {
+		r.Overload = new(overload.Snapshot)
+		return r.Overload.UnmarshalWire(d)
 	}
 	return d.Err()
 }

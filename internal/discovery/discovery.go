@@ -1,15 +1,12 @@
 // Package discovery implements the announce/listen protocol through which
 // nodes find lookup services when they enter a new environment (the Jini
-// discovery role). Two carriers are provided: an in-process bus scoped by the
-// mobility simulator, and UDP datagrams for real deployments.
+// discovery role). The carrier is an in-process bus scoped by the mobility
+// simulator; StartFuncAnnouncer beacons over any other carrier a caller
+// supplies.
 package discovery
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
-	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -174,80 +171,8 @@ func StartFuncAnnouncer(announce func(context.Context) error, interval time.Dura
 	return an
 }
 
-// StartUDPAnnouncer beacons a to target every interval until Stop, retrying
-// failed sends per pol (which should carry a RetryIf suited to UDP send
-// errors).
-func StartUDPAnnouncer(target string, a Announcement, interval time.Duration, pol *transport.Policy) *Announcer {
-	return StartFuncAnnouncer(func(context.Context) error {
-		return AnnounceUDP(target, a)
-	}, interval, pol, nil)
-}
-
 // Stop halts the announcer and waits for it to exit.
 func (a *Announcer) Stop() {
 	close(a.stop)
 	<-a.done
-}
-
-// UDPListener receives announcements over UDP.
-type UDPListener struct {
-	conn *net.UDPConn
-	done chan struct{}
-}
-
-// ListenUDP binds addr (e.g. "127.0.0.1:0") and invokes fn for every received
-// announcement.
-func ListenUDP(addr string, fn func(Announcement)) (*UDPListener, error) {
-	udpAddr, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("discovery: resolve %s: %w", addr, err)
-	}
-	conn, err := net.ListenUDP("udp", udpAddr)
-	if err != nil {
-		return nil, fmt.Errorf("discovery: listen %s: %w", addr, err)
-	}
-	l := &UDPListener{conn: conn, done: make(chan struct{})}
-	go func() {
-		defer close(l.done)
-		buf := make([]byte, 4096)
-		for {
-			n, _, err := conn.ReadFromUDP(buf)
-			if err != nil {
-				return
-			}
-			var a Announcement
-			if err := gob.NewDecoder(bytes.NewReader(buf[:n])).Decode(&a); err != nil {
-				continue // ignore malformed datagrams
-			}
-			fn(a)
-		}
-	}()
-	return l, nil
-}
-
-// Addr returns the bound UDP address.
-func (l *UDPListener) Addr() string { return l.conn.LocalAddr().String() }
-
-// Close stops the listener.
-func (l *UDPListener) Close() error {
-	err := l.conn.Close()
-	<-l.done
-	return err
-}
-
-// AnnounceUDP sends one announcement datagram to target.
-func AnnounceUDP(target string, a Announcement) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&a); err != nil {
-		return fmt.Errorf("discovery: encode: %w", err)
-	}
-	conn, err := net.Dial("udp", target)
-	if err != nil {
-		return fmt.Errorf("discovery: dial %s: %w", target, err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("discovery: send: %w", err)
-	}
-	return nil
 }

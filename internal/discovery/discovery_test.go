@@ -78,37 +78,6 @@ func TestAnnouncerRepeats(t *testing.T) {
 	an.Stop()
 }
 
-func TestUDPAnnounceListen(t *testing.T) {
-	ch := make(chan Announcement, 1)
-	l, err := ListenUDP("127.0.0.1:0", func(a Announcement) {
-		select {
-		case ch <- a:
-		default:
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	want := Announcement{Name: "hall-9", LookupAddr: "10.0.0.1:7000", Area: "west"}
-	// UDP is lossy even on loopback in theory; retry a few times.
-	for i := 0; i < 5; i++ {
-		if err := AnnounceUDP(l.Addr(), want); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case got := <-ch:
-			if got != want {
-				t.Fatalf("got = %+v", got)
-			}
-			return
-		case <-time.After(200 * time.Millisecond):
-		}
-	}
-	t.Fatal("announcement not received over UDP")
-}
-
 // A failing announcement is retried with backoff by the policy and recovers
 // within one interval — a node entering a hall on a lossy link still finds
 // the lookup service without waiting a full announce period.

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 type collected struct {
@@ -37,9 +38,9 @@ func (c *collected) snapshot() []Notification {
 
 func listenerMux(c *collected) *transport.Mux {
 	mux := transport.NewMux()
-	transport.Register(mux, "notify", func(_ context.Context, n Notification) (struct{}, error) {
+	transport.Register(mux, "notify", func(_ context.Context, n Notification) (Ack, error) {
 		c.add(n)
-		return struct{}{}, nil
+		return Ack{}, nil
 	})
 	return mux
 }
@@ -58,6 +59,13 @@ func waitFor(t *testing.T, cond func() bool) {
 
 type payload struct {
 	X int
+}
+
+func (p payload) MarshalWire(e *wire.Encoder) { e.Varint(int64(p.X)) }
+
+func (p *payload) UnmarshalWire(d *wire.Decoder) error {
+	p.X = int(d.Varint())
+	return d.Err()
 }
 
 func TestPublishDelivers(t *testing.T) {

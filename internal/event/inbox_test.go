@@ -110,7 +110,7 @@ func TestInboxExactlyOnceOverDuplicatingLink(t *testing.T) {
 	d.Subscribe("base-1", "notify", time.Minute)
 	const events = 20
 	for i := 0; i < events; i++ {
-		if _, err := d.Publish("changed", i); err != nil {
+		if _, err := d.Publish("changed", payload{X: i}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -11,15 +11,15 @@ import (
 // so any off-the-shelf scraper can consume /metrics?format=prom without the
 // platform importing a client library.
 //
-// Instrument names here are dots-and-pipes: "rpc.server.ns|method=midas.renew"
-// means metric "rpc.server.ns" with label method="midas.renew" (the RED layer
+// Instrument names here are dots-and-pipes: "rpc.server.ns|method=midas.renewBatch"
+// means metric "rpc.server.ns" with label method="midas.renewBatch" (the RED layer
 // in internal/transport mints such names). promName splits the label suffix
 // off, sanitizes the metric and label names to the Prometheus grammar, and
 // escapes label values, so arbitrary method strings cannot corrupt the
 // exposition.
 
 // promSeries is one parsed instrument name: a sanitized metric name plus a
-// rendered, escaped label block like {method="midas.renew"} (empty if none).
+// rendered, escaped label block like {method="midas.renewBatch"} (empty if none).
 type promSeries struct {
 	name   string
 	labels string // "" or `{k="v",...}`

@@ -38,19 +38,16 @@ func (c Class) String() string {
 // names are string literals rather than the core/registry constants so this
 // package sits below both (core imports overload for the fleet view).
 var defaultClasses = map[string]Class{
-	// Keepalive: lease renewals (singleton, batched, lookup-service) and the
+	// Keepalive: lease renewals (batched, lookup-service) and the
 	// reconciliation inventory sweep.
 	"midas.renewBatch":  ClassKeepalive,
-	"midas.renew":       ClassKeepalive,
 	"midas.inventory":   ClassKeepalive,
 	"lookup.renew":      ClassKeepalive,
 	"lookup.renewWatch": ClassKeepalive,
 
 	// Mutations: extension pushes, adaptation lifecycle, service registry
 	// writes.
-	"midas.install":     ClassMutation,
 	"midas.applyBatch":  ClassMutation,
-	"midas.revoke":      ClassMutation,
 	"base.post":         ClassMutation,
 	"base.onservice":    ClassMutation,
 	"base.roam":         ClassMutation,

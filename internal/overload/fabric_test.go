@@ -11,10 +11,18 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/testutil"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
-// ping is a trivial gob-encodable request body for fabric tests.
+// ping is a trivial request body for fabric tests.
 type ping struct{ N int }
+
+func (p ping) MarshalWire(e *wire.Encoder) { e.Varint(int64(p.N)) }
+
+func (p *ping) UnmarshalWire(d *wire.Decoder) error {
+	p.N = int(d.Varint())
+	return d.Err()
+}
 
 // blockingHandler counts invocations and parks each one on release until the
 // test lets it finish.
@@ -31,7 +39,7 @@ func (h *blockingHandler) Handle(ctx context.Context, method string, body []byte
 	if h.release != nil {
 		<-h.release
 	}
-	return transport.Encode(&ping{})
+	return transport.Marshal(ping{})
 }
 
 func (h *blockingHandler) callCount() int {

@@ -4,7 +4,8 @@ import "repro/internal/wire"
 
 // Wire codecs for the lookup service surface: register/renew/find ride the
 // same fabrics as the midas traffic, and at fleet scale a reconcile or
-// discovery storm hits the registry with one RPC per node.
+// discovery storm hits the registry with one RPC per node. Event is the body
+// of the notifications a watch delivers.
 
 // MarshalWire encodes s with the wire codec.
 func (s ServiceItem) MarshalWire(e *wire.Encoder) {
@@ -95,25 +96,11 @@ func (r *FindReq) UnmarshalWire(d *wire.Decoder) error {
 }
 
 // MarshalWire encodes r with the wire codec.
-func (r FindResp) MarshalWire(e *wire.Encoder) {
-	e.Len(len(r.Items))
-	for _, it := range r.Items {
-		it.MarshalWire(e)
-	}
-}
+func (r FindResp) MarshalWire(e *wire.Encoder) { wire.Slice(e, r.Items) }
 
 // UnmarshalWire decodes r from the wire codec.
 func (r *FindResp) UnmarshalWire(d *wire.Decoder) error {
-	if n := d.Len(); n > 0 {
-		r.Items = make([]ServiceItem, n)
-		for i := range r.Items {
-			if err := r.Items[i].UnmarshalWire(d); err != nil {
-				return err
-			}
-		}
-	} else {
-		r.Items = nil
-	}
+	r.Items = wire.DecodeSlice[ServiceItem](d)
 	return d.Err()
 }
 
@@ -176,3 +163,19 @@ func (r Empty) MarshalWire(e *wire.Encoder) {}
 
 // UnmarshalWire decodes r from the wire codec.
 func (r *Empty) UnmarshalWire(d *wire.Decoder) error { return d.Err() }
+
+// MarshalWire encodes ev with the wire codec.
+func (ev Event) MarshalWire(e *wire.Encoder) {
+	e.Byte(byte(ev.Kind))
+	ev.Item.MarshalWire(e)
+	ev.Trace.MarshalWire(e)
+}
+
+// UnmarshalWire decodes ev from the wire codec.
+func (ev *Event) UnmarshalWire(d *wire.Decoder) error {
+	ev.Kind = EventKind(d.Byte())
+	if err := ev.Item.UnmarshalWire(d); err != nil {
+		return err
+	}
+	return ev.Trace.UnmarshalWire(d)
+}

@@ -11,7 +11,18 @@ import (
 	"repro/internal/clock"
 	"repro/internal/metrics"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
+
+// text is a one-string message body.
+type text struct{ S string }
+
+func (t text) MarshalWire(e *wire.Encoder) { e.String(t.S) }
+
+func (t *text) UnmarshalWire(d *wire.Decoder) error {
+	t.S = d.String()
+	return d.Err()
+}
 
 // echoServer serves one "echo" method that counts invocations and returns
 // the request payload unchanged.
@@ -19,7 +30,7 @@ func echoServer(t *testing.T, n *Net, addr string) (*atomic.Int64, func()) {
 	t.Helper()
 	var count atomic.Int64
 	mux := transport.NewMux()
-	transport.Register(mux, "echo", func(_ context.Context, req string) (string, error) {
+	transport.Register(mux, "echo", func(_ context.Context, req text) (text, error) {
 		count.Add(1)
 		return req, nil
 	})
@@ -32,20 +43,20 @@ func echoServer(t *testing.T, n *Net, addr string) (*atomic.Int64, func()) {
 }
 
 func call(c transport.Caller, to string) error {
-	var resp string
-	return c.Call(context.Background(), to, "echo", "ping", &resp)
+	var resp text
+	return c.Call(context.Background(), to, "echo", text{"ping"}, &resp)
 }
 
 func TestFaultFreeRoundTrip(t *testing.T) {
 	n := New(nil, 1)
 	defer n.Close()
 	count, _ := echoServer(t, n, "b")
-	var resp string
-	if err := n.Node("a").Call(context.Background(), "b", "echo", "hello", &resp); err != nil {
+	var resp text
+	if err := n.Node("a").Call(context.Background(), "b", "echo", text{"hello"}, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp != "hello" || count.Load() != 1 {
-		t.Fatalf("resp=%q count=%d", resp, count.Load())
+	if resp.S != "hello" || count.Load() != 1 {
+		t.Fatalf("resp=%q count=%d", resp.S, count.Load())
 	}
 }
 

@@ -29,8 +29,8 @@ import (
 	"time"
 )
 
-// Sampling bits carried in SpanContext.Flags. Legacy peers that predate
-// sampling always send zero flags, which reads as "no decision present".
+// Sampling bits carried in SpanContext.Flags. Zero flags read as "no
+// decision present".
 const (
 	// FlagSampleKnown marks that a head-sampling decision travelled with the
 	// span context. Without it the other bits are meaningless and a sampling
@@ -40,16 +40,16 @@ const (
 	FlagSampled uint8 = 1 << 1
 )
 
-// SpanContext identifies a span within a trace. It is a plain value type so
-// the transport layer can gob-encode it inside request envelopes. The zero
-// value means "no trace".
+// SpanContext identifies a span within a trace. It is a plain value type with
+// a wire codec, so it rides inside request envelopes and notifications. The
+// zero value means "no trace".
 type SpanContext struct {
 	TraceID string
 	SpanID  string
 	// Flags carries the head-sampling decision across process boundaries
-	// (see FlagSampleKnown). Zero — what every legacy peer sends — means no
-	// decision travelled, and the receiving tracer resolves one locally from
-	// the trace ID, which same-seed tracers resolve identically.
+	// (see FlagSampleKnown). Zero means no decision travelled, and the
+	// receiving tracer resolves one locally from the trace ID, which
+	// same-seed tracers resolve identically.
 	Flags uint8
 }
 
@@ -470,8 +470,8 @@ func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *
 		parent.TraceID = t.mintTraceID()
 	}
 	if !known {
-		// No decision travelled (new root, or a parent from a legacy peer):
-		// resolve it here from the trace ID.
+		// No decision travelled (new root, or a parent whose tracer made
+		// none): resolve it here from the trace ID.
 		sampled = smp.keep(parent.TraceID)
 	}
 	flags := FlagSampleKnown

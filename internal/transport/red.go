@@ -12,7 +12,7 @@ import (
 // once and every RPC that flows through it gets per-method Rate (histogram
 // count), Error (counter) and Duration (latency histogram with p50/p95/p99
 // in snapshots) instruments — no per-call-site code. Instrument names carry
-// the method as a label suffix ("rpc.client.ns|method=midas.renew") which
+// the method as a label suffix ("rpc.client.ns|method=midas.renewBatch") which
 // /metrics?format=prom renders as a proper Prometheus label, and which the
 // fleet-aggregation path in internal/core parses back out per method.
 
@@ -23,7 +23,7 @@ const (
 )
 
 // REDSuffix builds the per-method instrument name for a RED prefix, e.g.
-// REDSuffix("rpc.server", "ns", "midas.renew").
+// REDSuffix("rpc.server", "ns", "midas.renewBatch").
 func REDSuffix(prefix, kind, method string) string {
 	return prefix + "." + kind + "|method=" + method
 }

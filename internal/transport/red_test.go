@@ -14,10 +14,10 @@ import (
 // call and an error counter counting only the failures, on both sides.
 func TestREDWrappers(t *testing.T) {
 	fabric := NewInProc()
-	mux := newWireEchoMux()
+	mux := newEchoMux()
 	boom := errors.New("boom")
-	Register(mux, "fail", func(_ context.Context, _ wireReq) (wireResp, error) {
-		return wireResp{}, boom
+	Register(mux, "fail", func(_ context.Context, _ echoReq) (echoResp, error) {
+		return echoResp{}, boom
 	})
 	sreg := metrics.New()
 	stop, _ := fabric.Serve("b", REDHandling(mux, sreg))
@@ -26,11 +26,11 @@ func TestREDWrappers(t *testing.T) {
 	creg := metrics.New()
 	c := REDCalls(fabric.Node("a"), creg)
 	for i := 0; i < 3; i++ {
-		if _, err := Invoke[wireReq, wireResp](context.Background(), c, "b", "wecho", wireReq{Msg: "x", N: 1}); err != nil {
+		if _, err := Invoke[echoReq, echoResp](context.Background(), c, "b", "echo", echoReq{Msg: "x", N: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := Invoke[wireReq, wireResp](context.Background(), c, "b", "fail", wireReq{}); err == nil {
+	if _, err := Invoke[echoReq, echoResp](context.Background(), c, "b", "fail", echoReq{}); err == nil {
 		t.Fatal("fail method should error")
 	}
 
@@ -41,12 +41,12 @@ func TestREDWrappers(t *testing.T) {
 		{REDClientPrefix, creg.Snapshot()},
 		{REDServerPrefix, sreg.Snapshot()},
 	} {
-		h, ok := side.snap.Histograms[REDSuffix(side.prefix, "ns", "wecho")]
+		h, ok := side.snap.Histograms[REDSuffix(side.prefix, "ns", "echo")]
 		if !ok || h.Count != 3 {
-			t.Fatalf("%s: wecho histogram count = %d (ok=%v), want 3", side.prefix, h.Count, ok)
+			t.Fatalf("%s: echo histogram count = %d (ok=%v), want 3", side.prefix, h.Count, ok)
 		}
-		if got := side.snap.Counters[REDSuffix(side.prefix, "errors", "wecho")]; got != 0 {
-			t.Fatalf("%s: wecho errors = %d, want 0", side.prefix, got)
+		if got := side.snap.Counters[REDSuffix(side.prefix, "errors", "echo")]; got != 0 {
+			t.Fatalf("%s: echo errors = %d, want 0", side.prefix, got)
 		}
 		fh := side.snap.Histograms[REDSuffix(side.prefix, "ns", "fail")]
 		if fh.Count != 1 {
@@ -69,7 +69,7 @@ func TestREDNilRegistryPassesThrough(t *testing.T) {
 	if REDCalls(c, nil) != c {
 		t.Fatal("REDCalls(nil reg) should return the caller unchanged")
 	}
-	mux := newWireEchoMux()
+	mux := newEchoMux()
 	if REDHandling(mux, nil) != Handler(mux) {
 		t.Fatal("REDHandling(nil reg) should return the handler unchanged")
 	}

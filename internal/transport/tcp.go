@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -18,52 +16,28 @@ import (
 	"repro/internal/wire"
 )
 
-// The TCP fabric speaks two envelope protocols on one port and negotiates
-// per connection:
+// The TCP fabric's protocol: the client opens every connection with the
+// 3-byte wire frame header as a preface, which the server checks before it
+// reads anything else. Then both sides exchange length-prefixed envelopes —
+// a uvarint payload length, then the payload's wire fields:
 //
-//   - wire: the client opens with the 3-byte wire frame header as a preface;
-//     the server answers with a 2-byte ack [Magic, Version] and both sides
-//     switch to hand-rolled envelopes — uvarint payload length, then
-//     method · trace · body as wire fields, the body copied in verbatim
-//     (whatever codec EncodeBody picked), so nothing is encoded twice.
-//   - gob: anything else is the legacy protocol — gob tcpRequest/tcpResponse
-//     envelopes around an already-encoded body (the historical double-gob).
+//	request:  method · trace (IDs and sampling flags) · budget · body
+//	response: error text ("" on success) · body
 //
-// An old server's gob decoder rejects the preface (a gob message length can
-// never be 0x00) and closes the connection; the client reads EOF, remembers
-// the destination as legacy — exactly like the ErrNoMethod legacy-batch
-// fallback — and redials in gob. Old clients never send the preface, and the
-// server routes them to the gob loop off the first byte, so mixed fleets
-// interoperate in both directions.
+// The body is an already-encoded wire frame copied in verbatim, so nothing
+// is encoded twice. The budget is the caller's remaining time to its
+// deadline in milliseconds (0 = none): relative, not an absolute timestamp,
+// so clock skew between peers cannot corrupt it, and an overloaded server can
+// drop a request whose caller already gave up.
 
 // maxEnvelope caps one wire envelope (64 MiB): a corrupt or hostile length
 // prefix must not allocate unbounded memory.
 const maxEnvelope = 1 << 26
 
-// gob envelope types of the legacy protocol. Trace carries the caller's span
-// context so a trace stitches across processes; BudgetMillis carries the
-// remaining time to the caller's deadline (0 = none) so an overloaded server
-// can drop a request whose caller already gave up — it is relative, not an
-// absolute timestamp, so clock skew between peers cannot corrupt it. gob
-// tolerates fields being absent (older peers) or unknown (newer peers), so
-// the envelope stays wire-compatible in both directions.
-type tcpRequest struct {
-	Method       string
-	Body         []byte
-	Trace        trace.SpanContext
-	BudgetMillis int64
-}
-
-type tcpResponse struct {
-	Body []byte
-	Err  string
-}
-
 // TCPServer serves a Handler over real TCP connections.
 type TCPServer struct {
 	ln      net.Listener
 	handler Handler
-	gobOnly bool
 
 	mu     sync.Mutex
 	closed bool
@@ -80,13 +54,12 @@ type serverMetrics struct {
 	bytesIn   *metrics.Counter
 	bytesOut  *metrics.Counter
 	wireConns *metrics.Counter
-	gobConns  *metrics.Counter
 	handleNs  *metrics.Histogram
 	openConns *metrics.Gauge
 }
 
 // Instrument records served requests (count, errors, payload bytes, handler
-// latency), the per-protocol connection counters and the open-connection
+// latency), the accepted-connection counter and the open-connection
 // gauge in reg. Safe to call while serving; a nil reg is a no-op.
 func (s *TCPServer) Instrument(reg *metrics.Registry) {
 	if reg == nil {
@@ -98,7 +71,6 @@ func (s *TCPServer) Instrument(reg *metrics.Registry) {
 		bytesIn:   reg.Counter("transport.serve_bytes_received"),
 		bytesOut:  reg.Counter("transport.serve_bytes_sent"),
 		wireConns: reg.Counter("transport.serve_wire_conns"),
-		gobConns:  reg.Counter("transport.serve_gob_conns"),
 		handleNs:  reg.Histogram("transport.serve_ns", nil),
 		openConns: reg.Gauge("transport.serve_open_conns"),
 	})
@@ -106,23 +78,11 @@ func (s *TCPServer) Instrument(reg *metrics.Registry) {
 
 // ServeTCP starts a server on addr ("127.0.0.1:0" picks a free port).
 func ServeTCP(addr string, h Handler) (*TCPServer, error) {
-	return serveTCP(addr, h, false)
-}
-
-// ServeTCPLegacy starts a server that behaves like a binary predating the
-// wire codec: the negotiation preface is answered by closing the connection
-// (as an old gob decoder would) and only the gob envelope is spoken.
-// Interop tests pair it with Mux.SetGobOnly to model a fully legacy peer.
-func ServeTCPLegacy(addr string, h Handler) (*TCPServer, error) {
-	return serveTCP(addr, h, true)
-}
-
-func serveTCP(addr string, h Handler, gobOnly bool) (*TCPServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	s := &TCPServer{ln: ln, handler: h, gobOnly: gobOnly, conns: make(map[net.Conn]struct{})}
+	s := &TCPServer{ln: ln, handler: h, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -183,68 +143,21 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		}
 	}()
 
-	// The first byte routes the connection: 0x00 can only be the wire
-	// preface (a gob message length is never zero), anything else is a gob
-	// client mid-first-message.
 	br := bufio.NewReader(conn)
-	first, err := br.Peek(1)
-	if err != nil {
+	var preface [3]byte
+	if _, err := io.ReadFull(br, preface[:]); err != nil {
 		return
+	}
+	if !wire.IsFrame(preface[:]) || preface[2] != wire.Version {
+		return
+	}
+	if sm := s.m.Load(); sm != nil {
+		sm.wireConns.Inc()
 	}
 	peer := ""
 	if ra := conn.RemoteAddr(); ra != nil {
 		peer = ra.String()
 	}
-	if first[0] == 0x00 {
-		if s.gobOnly {
-			return // what an old binary's gob decoder does: error out, hang up
-		}
-		var preface [3]byte
-		if _, err := io.ReadFull(br, preface[:]); err != nil {
-			return
-		}
-		if !wire.IsFrame(preface[:]) || preface[2] != wire.Version {
-			return
-		}
-		if _, err := conn.Write([]byte{wire.Magic, wire.Version}); err != nil {
-			return
-		}
-		if sm := s.m.Load(); sm != nil {
-			sm.wireConns.Inc()
-		}
-		s.serveWire(conn, br, peer)
-		return
-	}
-	if sm := s.m.Load(); sm != nil {
-		sm.gobConns.Inc()
-	}
-	s.serveGob(conn, br, peer)
-}
-
-// serveGob runs the legacy gob envelope loop.
-func (s *TCPServer) serveGob(conn net.Conn, br *bufio.Reader, peer string) {
-	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(conn)
-	for {
-		var req tcpRequest
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		body, err := s.handle(req.Trace, peer, req.BudgetMillis, req.Method, req.Body)
-		resp := tcpResponse{Body: body}
-		if err != nil {
-			resp.Err = err.Error()
-		}
-		if err := enc.Encode(&resp); err != nil {
-			return
-		}
-	}
-}
-
-// serveWire runs the wire envelope loop: length-prefixed envelopes in both
-// directions, the response written through a pooled encoder straight onto
-// the socket's buffered writer — no intermediate envelope allocation.
-func (s *TCPServer) serveWire(conn net.Conn, br *bufio.Reader, peer string) {
 	bw := bufio.NewWriter(conn)
 	var lenBuf [binary.MaxVarintLen64]byte
 	for {
@@ -256,27 +169,17 @@ func (s *TCPServer) serveWire(conn net.Conn, br *bufio.Reader, peer string) {
 		if _, err := io.ReadFull(br, payload); err != nil {
 			return
 		}
-		// Envelope layout: method · trace · body [· flags [· budget]]. The
-		// flags byte carries the trace's sampling decision and the budget
-		// varint the remaining milliseconds to the caller's deadline; clients
-		// predating either omit them, so each is read only when present.
-		// Further trailing bytes are tolerated so a future envelope may
-		// append more fields.
 		d := wire.NewDecoder(payload)
 		method := d.String()
 		var sc trace.SpanContext
 		_ = sc.UnmarshalWire(d)
+		budgetMillis := d.Varint()
 		body := d.Bytes()
-		if d.More() {
-			sc.Flags = d.Byte()
-		}
-		var budgetMillis int64
-		if d.More() {
-			budgetMillis = d.Varint()
-		}
 		if d.Err() != nil {
 			return
 		}
+		// The response goes through a pooled encoder straight onto the
+		// socket's buffered writer: no intermediate envelope allocation.
 		rbody, herr := s.handle(sc, peer, budgetMillis, method, body)
 		e := wire.GetEncoder()
 		if herr != nil {
@@ -330,21 +233,19 @@ func (s *TCPServer) handle(sc trace.SpanContext, peer string, budgetMillis int64
 }
 
 // TCPCaller issues calls over TCP, keeping one pooled connection per
-// destination and remembering which destinations fell back to gob.
+// destination.
 type TCPCaller struct {
 	DialTimeout time.Duration
 
-	mu     sync.Mutex
-	conns  map[string]*tcpClientConn
-	noWire bool
-	legacy map[string]bool // peers that rejected the preface or a wire body
+	mu    sync.Mutex
+	conns map[string]*tcpClientConn
 
 	m atomic.Pointer[fabricMetrics]
 }
 
 // Instrument records every outbound call (count, errors, timeouts, payload
-// bytes, codec mix, latency) in reg, sharing metric names with the in-proc
-// fabric. Safe to call while calls are in flight; a nil reg is a no-op.
+// bytes, latency) in reg, sharing metric names with the in-proc fabric. Safe
+// to call while calls are in flight; a nil reg is a no-op.
 func (c *TCPCaller) Instrument(reg *metrics.Registry) {
 	if reg == nil {
 		return
@@ -355,13 +256,8 @@ func (c *TCPCaller) Instrument(reg *metrics.Registry) {
 type tcpClientConn struct {
 	mu   sync.Mutex
 	conn net.Conn
-	wire bool
-	// wire protocol state
-	br *bufio.Reader
-	bw *bufio.Writer
-	// gob protocol state
-	enc *gob.Encoder
-	dec *gob.Decoder
+	br   *bufio.Reader
+	bw   *bufio.Writer
 }
 
 // NewTCPCaller returns a caller with a 2s dial timeout.
@@ -369,118 +265,62 @@ func NewTCPCaller() *TCPCaller {
 	return &TCPCaller{
 		DialTimeout: 2 * time.Second,
 		conns:       make(map[string]*tcpClientConn),
-		legacy:      make(map[string]bool),
 	}
-}
-
-// DisableWire forces every connection and body onto gob, behaving like a
-// client predating the wire codec (-wire=false on the cmds).
-func (c *TCPCaller) DisableWire() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.noWire = true
-}
-
-// peerWire reports whether bodies to addr should use the wire codec.
-func (c *TCPCaller) peerWire(addr string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return !c.noWire && !c.legacy[addr]
-}
-
-// markLegacy remembers that addr cannot decode wire bodies.
-func (c *TCPCaller) markLegacy(addr string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.legacy == nil { // zero-value TCPCaller
-		c.legacy = make(map[string]bool)
-	}
-	c.legacy[addr] = true
 }
 
 // Call implements Caller. to is a host:port address.
 func (c *TCPCaller) Call(ctx context.Context, to, method string, req, resp any) (err error) {
-	if fm := c.m.Load(); fm != nil {
+	fm := c.m.Load()
+	if fm != nil {
 		fm.calls.Inc()
 		start := time.Now() //lint:allow clockcheck (real RPC latency metric)
 		defer func() { fm.finishCall(start, err) }()
 	}
-	err, usedWire := c.callOnce(ctx, to, method, req, resp)
-	if err != nil && usedWire {
-		var re *RemoteError
-		if errors.As(err, &re) && errors.Is(err, ErrDecode) {
-			// The connection negotiated wire envelopes but the remote could
-			// not decode this wire body (a peer of an intermediate version):
-			// remember it and re-issue the call in gob. The request never
-			// reached its handler, so the retry cannot double-apply.
-			c.markLegacy(to)
-			if fm := c.m.Load(); fm != nil {
-				fm.fallbacks.Inc()
-			}
-			err, _ = c.callOnce(ctx, to, method, req, resp)
-		}
+	body, err := Marshal(req)
+	if err != nil {
+		return err
 	}
-	return err
-}
-
-// callOnce performs one round trip, reporting whether the body went out as a
-// wire frame.
-func (c *TCPCaller) callOnce(ctx context.Context, to, method string, req, resp any) (error, bool) {
 	cc, err := c.conn(ctx, to)
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
-			return fmt.Errorf("transport: dial %s: %w", to, ctxErr), false
+			return fmt.Errorf("transport: dial %s: %w", to, ctxErr)
 		}
-		return fmt.Errorf("%w: %s: %v", ErrUnreachable, to, err), false
+		return fmt.Errorf("%w: %s: %v", ErrUnreachable, to, err)
 	}
-	fm := c.m.Load()
-	body, usedWire, err := EncodeBody(req, cc.wire && c.peerWire(to))
-	if err != nil {
-		return err, false
+	if fm != nil {
+		fm.wireReqs.Inc()
 	}
-	fm.countBody(usedWire)
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	if deadline, ok := ctx.Deadline(); ok {
-		_ = cc.conn.SetDeadline(deadline)
-	} else {
-		_ = cc.conn.SetDeadline(time.Time{})
-	}
-	// A deadline alone does not observe cancellation: watch ctx and abort the
-	// in-flight round trip by forcing a deadline in the past.
-	watchDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			_ = cc.conn.SetDeadline(time.Unix(1, 0))
-		case <-watchDone:
-		}
-	}()
+	deadline, hasDeadline := ctx.Deadline()
+	_ = cc.conn.SetDeadline(deadline) // the zero time clears an earlier call's deadline
+	// A deadline alone does not observe cancellation: on cancel, abort the
+	// in-flight round trip by forcing a deadline in the past. The callback is
+	// waited for below, so it can never land on the connection's next call.
+	fired := make(chan struct{})
+	stop := context.AfterFunc(ctx, func() {
+		_ = cc.conn.SetDeadline(time.Unix(1, 0))
+		close(fired)
+	})
 	sc, _ := trace.FromContext(ctx)
 	// The deadline rides the envelope as a relative budget (remaining ms,
-	// rounded up so a tight-but-live deadline never truncates to "none"), so
-	// the server can expire queued requests without trusting clock alignment.
+	// rounded up so a tight-but-live deadline never truncates to "none").
 	var budgetMillis int64
-	if d, ok := ctx.Deadline(); ok {
-		if remaining := time.Until(d); remaining > 0 { //lint:allow clockcheck (real deadline budget for the wire)
+	if hasDeadline {
+		if remaining := time.Until(deadline); remaining > 0 { //lint:allow clockcheck (real deadline budget for the wire)
 			budgetMillis = int64((remaining + time.Millisecond - 1) / time.Millisecond)
 		}
 	}
-	var callErr error
-	if cc.wire {
-		callErr = c.roundTripWire(cc, fm, method, sc, budgetMillis, body, resp)
-	} else {
-		callErr = c.roundTripGob(cc, fm, method, sc, budgetMillis, body, resp)
+	callErr := c.roundTrip(cc, fm, method, sc, budgetMillis, body, resp)
+	if !stop() {
+		<-fired
 	}
-	close(watchDone)
 	if callErr != nil {
 		ctxErr := ctx.Err()
-		if ctxErr == nil {
-			// The conn deadline equals the ctx deadline and its poller can
-			// fire a moment before the ctx timer: map that to expiry too.
-			if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) { //lint:allow clockcheck (compares against the conn's real deadline)
-				ctxErr = context.DeadlineExceeded
-			}
+		// The conn deadline equals the ctx deadline and its poller can fire
+		// a moment before the ctx timer: map that to expiry too.
+		if ctxErr == nil && hasDeadline && !time.Now().Before(deadline) { //lint:allow clockcheck (compares against the conn's real deadline)
+			ctxErr = context.DeadlineExceeded
 		}
 		if ctxErr != nil {
 			// Surface cancellation/expiry as the context error, not the I/O
@@ -492,22 +332,16 @@ func (c *TCPCaller) callOnce(ctx context.Context, to, method string, req, resp a
 			c.drop(to, cc)
 		}
 	}
-	return callErr, usedWire
+	return callErr
 }
 
-// roundTripWire writes one wire envelope and reads its response. The
-// request's already-encoded body is copied into the envelope verbatim — the
-// fix for the historical gob-inside-gob double encode.
-func (c *TCPCaller) roundTripWire(cc *tcpClientConn, fm *fabricMetrics, method string, sc trace.SpanContext, budgetMillis int64, body []byte, resp any) error {
+// roundTrip writes one request envelope and reads its response.
+func (c *TCPCaller) roundTrip(cc *tcpClientConn, fm *fabricMetrics, method string, sc trace.SpanContext, budgetMillis int64, body []byte, resp any) error {
 	e := wire.GetEncoder()
 	e.String(method)
 	sc.MarshalWire(e)
-	e.Bytes(body)
-	// Sampling flags and the deadline budget ride after the body, where
-	// servers predating them see only tolerated trailing bytes (the
-	// envelope's designed growth seam).
-	e.Byte(sc.Flags)
 	e.Varint(budgetMillis)
+	e.Bytes(body)
 	var lenBuf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(lenBuf[:], uint64(len(e.Data())))
 	_, err := cc.bw.Write(lenBuf[:n])
@@ -553,30 +387,6 @@ func (c *TCPCaller) roundTripWire(cc *tcpClientConn, fm *fabricMetrics, method s
 	return Decode(rbody, resp)
 }
 
-// roundTripGob writes one legacy gob envelope and reads its response.
-func (c *TCPCaller) roundTripGob(cc *tcpClientConn, fm *fabricMetrics, method string, sc trace.SpanContext, budgetMillis int64, body []byte, resp any) error {
-	if err := cc.enc.Encode(&tcpRequest{Method: method, Body: body, Trace: sc, BudgetMillis: budgetMillis}); err != nil {
-		return err
-	}
-	if fm != nil {
-		fm.bytesOut.Add(uint64(len(body)))
-	}
-	var out tcpResponse
-	if err := cc.dec.Decode(&out); err != nil {
-		return err
-	}
-	if fm != nil {
-		fm.bytesIn.Add(uint64(len(out.Body)))
-	}
-	if out.Err != "" {
-		return NewRemoteError(method, out.Err)
-	}
-	if resp == nil {
-		return nil
-	}
-	return Decode(out.Body, resp)
-}
-
 // Close closes all pooled connections.
 func (c *TCPCaller) Close() {
 	c.mu.Lock()
@@ -587,6 +397,8 @@ func (c *TCPCaller) Close() {
 	c.conns = make(map[string]*tcpClientConn)
 }
 
+// conn returns the pooled connection to addr, dialing and sending the
+// preface on first use.
 func (c *TCPCaller) conn(ctx context.Context, to string) (*tcpClientConn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -601,57 +413,11 @@ func (c *TCPCaller) conn(ctx context.Context, to string) (*tcpClientConn, error)
 	if err != nil {
 		return nil, err
 	}
-	if !c.noWire && !c.legacy[to] {
-		if cc, ok := c.handshake(ctx, conn); ok {
-			c.conns[to] = cc
-			return cc, nil
-		}
-		// The preface was rejected, timed out or mis-acked: the server
-		// predates the wire codec (or is unreadably slow — treating it as
-		// legacy stays correct either way). Remember and redial in gob; the
-		// handshake connection is closed because the preface bytes already
-		// sent would corrupt a gob stream.
-		if c.legacy == nil { // zero-value TCPCaller
-			c.legacy = make(map[string]bool)
-		}
-		c.legacy[to] = true
-		if fm := c.m.Load(); fm != nil {
-			fm.fallbacks.Inc()
-		}
-		conn, err = d.DialContext(ctx, "tcp", to)
-		if err != nil {
-			return nil, err
-		}
-	}
-	cc := &tcpClientConn{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
+	cc := &tcpClientConn{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
+	// The preface is buffered and goes out with the first request.
+	_, _ = cc.bw.Write(wire.Header())
 	c.conns[to] = cc
 	return cc, nil
-}
-
-// handshake sends the wire preface and waits briefly for the ack. On any
-// failure the connection is closed and (nil, false) returned.
-func (c *TCPCaller) handshake(ctx context.Context, conn net.Conn) (*tcpClientConn, bool) {
-	ackTimeout := c.DialTimeout
-	if ackTimeout <= 0 {
-		ackTimeout = 2 * time.Second
-	}
-	deadline := time.Now().Add(ackTimeout) //lint:allow clockcheck (real I/O deadline on the socket)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	_ = conn.SetDeadline(deadline)
-	if _, err := conn.Write(wire.Header()); err != nil {
-		conn.Close()
-		return nil, false
-	}
-	br := bufio.NewReader(conn)
-	var ack [2]byte
-	if _, err := io.ReadFull(br, ack[:]); err != nil || ack[0] != wire.Magic || ack[1] != wire.Version {
-		conn.Close()
-		return nil, false
-	}
-	_ = conn.SetDeadline(time.Time{})
-	return &tcpClientConn{conn: conn, wire: true, br: br, bw: bufio.NewWriter(conn)}, true
 }
 
 func (c *TCPCaller) drop(to string, cc *tcpClientConn) {

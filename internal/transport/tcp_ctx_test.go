@@ -19,8 +19,8 @@ func TestTCPDialHonorsCanceledContext(t *testing.T) {
 	start := time.Now()
 	// DialContext refuses a dead context up front, so this must not wait out
 	// the 2s DialTimeout no matter where the address routes.
-	var resp string
-	err := caller.Call(ctx, "192.0.2.1:9", "echo", "x", &resp)
+	var resp echoResp
+	err := caller.Call(ctx, "192.0.2.1:9", "echo", echoReq{Msg: "x"}, &resp)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -37,7 +37,7 @@ func (h *slowHandler) Handle(_ context.Context, method string, _ []byte) ([]byte
 	case <-h.release:
 	case <-time.After(30 * time.Second):
 	}
-	return Encode("late")
+	return Marshal(echoResp{Msg: "late"})
 }
 
 // Cancellation mid-round-trip unblocks the in-flight call promptly instead of
@@ -56,8 +56,8 @@ func TestTCPCancelMidCallUnblocks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		var resp string
-		done <- caller.Call(ctx, srv.Addr(), "slow", "x", &resp)
+		var resp echoResp
+		done <- caller.Call(ctx, srv.Addr(), "slow", echoReq{Msg: "x"}, &resp)
 	}()
 	time.Sleep(50 * time.Millisecond) // let the request reach the server
 	cancel()
@@ -89,8 +89,8 @@ func TestTCPDeadlineMidCallIsTransient(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	var resp string
-	callErr := caller.Call(ctx, srv.Addr(), "slow", "x", &resp)
+	var resp echoResp
+	callErr := caller.Call(ctx, srv.Addr(), "slow", echoReq{Msg: "x"}, &resp)
 	if !errors.Is(callErr, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", callErr)
 	}
@@ -103,12 +103,12 @@ func TestTCPDeadlineMidCallIsTransient(t *testing.T) {
 	// The poisoned connection was dropped: a fresh call dials anew and works
 	// once the handlers are released.
 	release()
-	var out string
-	if err := caller.Call(context.Background(), srv.Addr(), "slow", "y", &out); err != nil {
+	var out echoResp
+	if err := caller.Call(context.Background(), srv.Addr(), "slow", echoReq{Msg: "y"}, &out); err != nil {
 		t.Fatalf("call after dropped conn: %v", err)
 	}
-	if out != "late" {
-		t.Fatalf("out = %q", out)
+	if out.Msg != "late" {
+		t.Fatalf("out = %q", out.Msg)
 	}
 }
 
@@ -124,9 +124,33 @@ func TestTCPUnreachableStillUnreachable(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close() // nothing listens here now: connection refused
-	var resp string
-	callErr := caller.Call(context.Background(), addr, "echo", "x", &resp)
+	var resp echoResp
+	callErr := caller.Call(context.Background(), addr, "echo", echoReq{Msg: "x"}, &resp)
 	if !errors.Is(callErr, ErrUnreachable) {
 		t.Fatalf("err = %v, want ErrUnreachable", callErr)
+	}
+}
+
+// A context cancelled right after its call returned must not reach the
+// pooled connection's next call. This is how svc.Call uses the fabric (one
+// context per call, cancelled on return), and a late cancellation that
+// forced the connection's deadline into the past used to fail the following
+// call with an i/o timeout.
+func TestTCPCancelAfterReturnSparesNextCall(t *testing.T) {
+	srv, err := ServeTCP("127.0.0.1:0", newEchoMux())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	caller := NewTCPCaller()
+	defer caller.Close()
+	for i := 0; i < 10000; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		var resp echoResp
+		err := caller.Call(ctx, srv.Addr(), "echo", echoReq{Msg: "x", N: 1}, &resp)
+		cancel()
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
 	}
 }

@@ -153,7 +153,7 @@ func TestTraceHandling(t *testing.T) {
 	tr := trace.New(3)
 	h := TraceHandling(newEchoMux(), tr, "n1")
 	ctx, sp := tr.StartSpan(context.Background(), "caller")
-	body, _ := Encode(echoReq{Msg: "x", N: 1})
+	body, _ := Marshal(echoReq{Msg: "x", N: 1})
 	if _, err := h.Handle(ctx, "echo", body); err != nil {
 		t.Fatal(err)
 	}
@@ -171,49 +171,34 @@ func TestTraceHandling(t *testing.T) {
 }
 
 // TestSampledBitPropagatesAcrossTCP pins head-sampling coherence across the
-// fabric for both codecs: the root's decision must override whatever the
-// remote tracer would decide locally — a sampled-in trace is recorded even by
-// a server whose own sampler drops everything, and a sampled-out trace stays
-// out even where the server's sampler would keep it. The legacy gob protocol
-// carries the decision too (Flags is a struct field gob versions naturally).
+// fabric: the root's decision must override whatever the remote tracer would
+// decide locally — a sampled-in trace is recorded even by a server whose own
+// sampler drops everything, and a sampled-out trace stays out even where the
+// server's sampler would keep it.
 func TestSampledBitPropagatesAcrossTCP(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
-		gobCaller  bool
-		legacySrv  bool
 		clientRate float64
 		serverRate float64
 		wantServed int
 	}{
-		{"wire/sampled-in-overrides-server-drop", false, false, 1, 0, 1},
-		{"wire/sampled-out-overrides-server-keep", false, false, 0, 1, 0},
-		{"gob/sampled-in-overrides-server-drop", true, false, 1, 0, 1},
-		{"gob/sampled-out-overrides-server-keep", true, false, 0, 1, 0},
-		{"legacy-server/sampled-in-overrides-drop", true, true, 1, 0, 1},
+		{"wire/sampled-in-overrides-server-drop", 1, 0, 1},
+		{"wire/sampled-out-overrides-server-keep", 0, 1, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srvTr := trace.New(2)
 			srvTr.SetSampler(trace.SamplerConfig{Rate: tc.serverRate, Seed: 2})
-			mux := newWireEchoMux()
-			serve := ServeTCP
-			if tc.legacySrv {
-				mux.SetGobOnly(true)
-				serve = ServeTCPLegacy
-			}
-			srv, err := serve("127.0.0.1:0", TraceHandling(mux, srvTr, "n1"))
+			srv, err := ServeTCP("127.0.0.1:0", TraceHandling(newEchoMux(), srvTr, "n1"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer srv.Close()
 			caller := NewTCPCaller()
 			defer caller.Close()
-			if tc.gobCaller {
-				caller.DisableWire()
-			}
 			cliTr := trace.New(1)
 			cliTr.SetSampler(trace.SamplerConfig{Rate: tc.clientRate, Seed: 1})
 			c := TraceCalls(caller, cliTr)
-			if _, err := Invoke[wireReq, wireResp](context.Background(), c, srv.Addr(), "wecho", wireReq{Msg: "a", N: 2}); err != nil {
+			if _, err := Invoke[echoReq, echoResp](context.Background(), c, srv.Addr(), "echo", echoReq{Msg: "a", N: 2}); err != nil {
 				t.Fatal(err)
 			}
 			served := srvTr.Spans(trace.Filter{Name: "rpc.serve"})

@@ -1,17 +1,15 @@
 // Package transport provides the RPC layer the platform's distributed pieces
 // (lookup service, extension bases, adaptation services) communicate over.
-// Hot message types ride the zero-reflection wire codec (internal/wire);
-// everything else is gob-encoded, and the two are distinguished on the
-// receiving side by the wire frame header, so mixed fleets interoperate. Two
-// interchangeable fabrics are provided: an in-process fabric whose
-// connectivity is steered by the mobility simulator (standing in for the
-// wireless network of the paper's testbed) and a real TCP fabric.
+// Every request and response body is a wire-codec frame (internal/wire):
+// Register and Invoke only accept message types that carry a codec, so a
+// type without one does not compile. Two interchangeable fabrics are
+// provided: an in-process fabric whose connectivity is steered by the
+// mobility simulator (standing in for the wireless network of the paper's
+// testbed) and a real TCP fabric.
 package transport
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"strings"
@@ -37,11 +35,9 @@ var (
 	ErrUnreachable = errors.New("transport: destination unreachable")
 	// ErrNoMethod indicates the destination does not serve the method.
 	ErrNoMethod = errors.New("transport: no such method")
-	// ErrDecode indicates a request or response body failed to decode. Its
-	// text is the prefix every decode failure has always carried, so a
-	// RemoteError from an old, gob-only peer that choked on a wire frame
-	// unwraps to it via the sentinel machinery — that match is what triggers
-	// the caller's remembered per-peer gob fallback.
+	// ErrDecode indicates a request or response body failed to decode. It is
+	// a registered remote sentinel, so a RemoteError from a peer that could
+	// not decode the request unwraps to it too.
 	ErrDecode = errors.New("transport: decode:")
 )
 
@@ -118,51 +114,34 @@ func matchRemoteSentinel(msg string) error {
 	return best
 }
 
-// Encode gob-encodes v.
-func Encode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("transport: encode: %w", err)
+// Marshal encodes a fabric body. v must carry a wire codec; the typed entry
+// points (Register, Invoke) guarantee that at compile time, and this check
+// covers the untyped Caller interface.
+func Marshal(v any) ([]byte, error) {
+	m, ok := v.(wire.Marshaler)
+	if !ok {
+		return nil, fmt.Errorf("transport: encode: %T has no wire codec", v)
 	}
-	return buf.Bytes(), nil
+	return wire.Marshal(m), nil
 }
 
-// EncodeBody encodes v for a fabric: with the wire codec when useWire is set
-// and v implements it, gob otherwise. The second result reports whether the
-// body is a wire frame, which the fabrics record (metrics) and mirror in
-// their responses.
+// EncodeBody is Marshal with the result shape of the two-codec transport:
+// useWire is ignored and the second result is always true on success. Only
+// the benchmark (perfbench) still calls it; it goes with the next change to
+// the benchmark.
 func EncodeBody(v any, useWire bool) ([]byte, bool, error) {
-	if useWire {
-		if m, ok := v.(wire.Marshaler); ok {
-			return wire.Marshal(m), true, nil
-		}
-	}
-	data, err := Encode(v)
-	return data, false, err
+	data, err := Marshal(v)
+	return data, err == nil, err
 }
 
-// Decode decodes a fabric body into v (a pointer), dispatching on the body's
-// first bytes: wire frames go through the value's wire codec, everything
-// else through gob. Failures wrap ErrDecode.
+// Decode decodes a fabric body into v, a pointer to a type with a wire
+// codec. Failures wrap ErrDecode.
 func Decode(data []byte, v any) error {
-	if wire.IsFrame(data) {
-		u, ok := v.(wire.Unmarshaler)
-		if !ok {
-			return fmt.Errorf("%w wire frame for %T, which has no wire codec", ErrDecode, v)
-		}
-		if err := wire.Unmarshal(data, u); err != nil {
-			return fmt.Errorf("%w %v", ErrDecode, err)
-		}
-		return nil
+	u, ok := v.(wire.Unmarshaler)
+	if !ok {
+		return fmt.Errorf("%w %T has no wire codec", ErrDecode, v)
 	}
-	return DecodeGob(data, v)
-}
-
-// DecodeGob gob-decodes data into v (a pointer) with no frame dispatch — the
-// behavior of peers that predate the wire codec. Mux.SetGobOnly routes
-// request decoding through it to model such a peer in tests.
-func DecodeGob(data []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
+	if err := wire.Unmarshal(data, u); err != nil {
 		return fmt.Errorf("%w %v", ErrDecode, err)
 	}
 	return nil
@@ -173,29 +152,11 @@ func DecodeGob(data []byte, v any) error {
 type Mux struct {
 	mu       sync.RWMutex
 	handlers map[string]func(ctx context.Context, body []byte) ([]byte, error)
-	gobOnly  bool
 }
 
 // NewMux returns an empty Mux.
 func NewMux() *Mux {
 	return &Mux{handlers: make(map[string]func(ctx context.Context, body []byte) ([]byte, error))}
-}
-
-// SetGobOnly makes typed handlers on this mux behave like a peer that
-// predates the wire codec: request bodies are always gob-decoded (so wire
-// frames fail with the decode error old binaries produce) and responses are
-// always gob-encoded. Mixed-fleet tests use it to stand up legacy receivers.
-func (m *Mux) SetGobOnly(on bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.gobOnly = on
-}
-
-// GobOnly reports whether SetGobOnly is in effect.
-func (m *Mux) GobOnly() bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.gobOnly
 }
 
 // HandleRaw registers a raw body handler for method.
@@ -227,32 +188,32 @@ func (m *Mux) Methods() []string {
 	return out
 }
 
-// Register installs a typed handler for method on mux. The response mirrors
-// the request's codec: a wire-framed request gets a wire-framed response
-// (when Resp has a codec) and a gob request gets a gob response, so old
-// callers never receive bytes they cannot decode.
-func Register[Req, Resp any](mux *Mux, method string, fn func(ctx context.Context, req Req) (Resp, error)) {
+// Register installs a typed handler for method on mux. Both message types
+// must carry a wire codec (Req through its pointer).
+func Register[Req any, Resp wire.Marshaler, PReq interface {
+	*Req
+	wire.Unmarshaler
+}](mux *Mux, method string, fn func(ctx context.Context, req Req) (Resp, error)) {
 	mux.HandleRaw(method, func(ctx context.Context, body []byte) ([]byte, error) {
 		var req Req
-		if mux.GobOnly() {
-			if err := DecodeGob(body, &req); err != nil {
-				return nil, err
-			}
-		} else if err := Decode(body, &req); err != nil {
+		if err := Decode(body, PReq(&req)); err != nil {
 			return nil, err
 		}
 		resp, err := fn(ctx, req)
 		if err != nil {
 			return nil, err
 		}
-		out, _, eerr := EncodeBody(resp, wire.IsFrame(body) && !mux.GobOnly())
-		return out, eerr
+		return wire.Marshal(resp), nil
 	})
 }
 
-// Invoke performs a typed call through c.
-func Invoke[Req, Resp any](ctx context.Context, c Caller, to, method string, req Req) (Resp, error) {
+// Invoke performs a typed call through c. Both message types must carry a
+// wire codec (Resp through its pointer).
+func Invoke[Req wire.Marshaler, Resp any, PResp interface {
+	*Resp
+	wire.Unmarshaler
+}](ctx context.Context, c Caller, to, method string, req Req) (Resp, error) {
 	var resp Resp
-	err := c.Call(ctx, to, method, req, &resp)
+	err := c.Call(ctx, to, method, req, PResp(&resp))
 	return resp, err
 }

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 type echoReq struct {
@@ -14,8 +16,26 @@ type echoReq struct {
 	N   int
 }
 
+func (r echoReq) MarshalWire(e *wire.Encoder) {
+	e.String(r.Msg)
+	e.Varint(int64(r.N))
+}
+
+func (r *echoReq) UnmarshalWire(d *wire.Decoder) error {
+	r.Msg = d.String()
+	r.N = int(d.Varint())
+	return d.Err()
+}
+
 type echoResp struct {
 	Msg string
+}
+
+func (r echoResp) MarshalWire(e *wire.Encoder) { e.String(r.Msg) }
+
+func (r *echoResp) UnmarshalWire(d *wire.Decoder) error {
+	r.Msg = d.String()
+	return d.Err()
 }
 
 func newEchoMux() *Mux {
@@ -214,7 +234,7 @@ func TestMuxMethods(t *testing.T) {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	in := echoReq{Msg: "payload", N: 7}
-	b, err := Encode(in)
+	b, err := Marshal(in)
 	if err != nil {
 		t.Fatal(err)
 	}

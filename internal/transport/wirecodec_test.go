@@ -13,84 +13,41 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/testutil"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
-// wireReq/wireResp carry wire codecs, so they ride the zero-reflection path;
-// echoReq/echoResp (transport_test.go) have none and pin the gob-body path.
-type wireReq struct {
-	Msg string
-	N   int64
-}
-
-func (r wireReq) MarshalWire(e *wire.Encoder) {
-	e.String(r.Msg)
-	e.Varint(r.N)
-}
-
-func (r *wireReq) UnmarshalWire(d *wire.Decoder) error {
-	r.Msg = d.String()
-	r.N = d.Varint()
-	return d.Err()
-}
-
-type wireResp struct {
-	Msg string
-}
-
-func (r wireResp) MarshalWire(e *wire.Encoder) { e.String(r.Msg) }
-
-func (r *wireResp) UnmarshalWire(d *wire.Decoder) error {
-	r.Msg = d.String()
-	return d.Err()
-}
-
-func newWireEchoMux() *Mux {
-	mux := NewMux()
-	Register(mux, "wecho", func(_ context.Context, req wireReq) (wireResp, error) {
-		out := ""
-		for i := int64(0); i < req.N; i++ {
-			out += req.Msg
-		}
-		return wireResp{Msg: out}, nil
-	})
-	return mux
-}
-
 func TestEncodeBodyPicksCodecPerType(t *testing.T) {
-	data, usedWire, err := EncodeBody(wireReq{Msg: "x", N: 1}, true)
+	data, usedWire, err := EncodeBody(echoReq{Msg: "x", N: 1}, true)
 	if err != nil || !usedWire || !wire.IsFrame(data) {
-		t.Fatalf("wire-capable type: usedWire=%v frame=%v err=%v", usedWire, wire.IsFrame(data), err)
+		t.Fatalf("coded type: usedWire=%v frame=%v err=%v", usedWire, wire.IsFrame(data), err)
 	}
-	data, usedWire, err = EncodeBody(echoReq{Msg: "x", N: 1}, true)
-	if err != nil || usedWire || wire.IsFrame(data) {
-		t.Fatalf("gob-only type: usedWire=%v frame=%v err=%v", usedWire, wire.IsFrame(data), err)
-	}
-	data, usedWire, err = EncodeBody(wireReq{Msg: "x", N: 1}, false)
-	if err != nil || usedWire || wire.IsFrame(data) {
-		t.Fatalf("wire disabled: usedWire=%v frame=%v err=%v", usedWire, wire.IsFrame(data), err)
+	// A type without a codec cannot be sent at all.
+	if _, err := Marshal(struct{ N int }{1}); err == nil {
+		t.Fatal("codec-less type encoded")
 	}
 }
 
 func TestDecodeDispatchesOnFrameHeader(t *testing.T) {
-	in := wireReq{Msg: "hello", N: 42}
-	for _, useWire := range []bool{true, false} {
-		data, _, err := EncodeBody(in, useWire)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out wireReq
-		if err := Decode(data, &out); err != nil {
-			t.Fatalf("useWire=%v: %v", useWire, err)
-		}
-		if out != in {
-			t.Fatalf("useWire=%v: got %+v want %+v", useWire, out, in)
-		}
+	in := echoReq{Msg: "hello", N: 42}
+	data, err := Marshal(in)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A wire frame for a codec-less type errors with ErrDecode rather than
-	// guessing.
-	var eo echoReq
-	if err := Decode(wire.Marshal(wireReq{}), &eo); !errors.Is(err, ErrDecode) {
+	var out echoReq
+	if err := Decode(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out != in {
+		t.Fatalf("got %+v want %+v", out, in)
+	}
+	// Bytes without a frame header, and a target without a codec, both fail
+	// with ErrDecode rather than guessing.
+	if err := Decode([]byte("not a frame"), &out); !errors.Is(err, ErrDecode) {
+		t.Fatalf("unframed body: %v", err)
+	}
+	var eo struct{ N int }
+	if err := Decode(data, &eo); !errors.Is(err, ErrDecode) {
 		t.Fatalf("frame into codec-less type: %v", err)
 	}
 }
@@ -99,49 +56,19 @@ func TestInProcWireBodiesCounted(t *testing.T) {
 	fabric := NewInProc()
 	reg := metrics.New()
 	fabric.Instrument(reg)
-	stop, _ := fabric.Serve("b", newWireEchoMux())
+	stop, _ := fabric.Serve("b", newEchoMux())
 	defer stop()
-	resp, err := Invoke[wireReq, wireResp](context.Background(), fabric.Node("a"), "b", "wecho", wireReq{Msg: "ab", N: 2})
+	resp, err := Invoke[echoReq, echoResp](context.Background(), fabric.Node("a"), "b", "echo", echoReq{Msg: "ab", N: 2})
 	if err != nil || resp.Msg != "abab" {
 		t.Fatalf("resp=%q err=%v", resp.Msg, err)
 	}
 	if got := testutil.Counter(reg, "transport.wire_bodies"); got != 1 {
 		t.Fatalf("wire_bodies = %d, want 1", got)
 	}
-	if got := testutil.Counter(reg, "transport.codec_fallbacks"); got != 0 {
-		t.Fatalf("codec_fallbacks = %d, want 0", got)
-	}
-}
-
-func TestInProcFallsBackToGobOnlyPeer(t *testing.T) {
-	fabric := NewInProc()
-	reg := metrics.New()
-	fabric.Instrument(reg)
-	legacyMux := newWireEchoMux()
-	legacyMux.SetGobOnly(true)
-	stop, _ := fabric.Serve("old", legacyMux)
-	defer stop()
-	caller := fabric.Node("base")
-	for i := 0; i < 3; i++ {
-		resp, err := Invoke[wireReq, wireResp](context.Background(), caller, "old", "wecho", wireReq{Msg: "x", N: 3})
-		if err != nil || resp.Msg != "xxx" {
-			t.Fatalf("call %d: resp=%q err=%v", i, resp.Msg, err)
-		}
-	}
-	// One wire attempt, one remembered fallback, all later calls gob.
-	if got := testutil.Counter(reg, "transport.codec_fallbacks"); got != 1 {
-		t.Fatalf("codec_fallbacks = %d, want 1", got)
-	}
-	if got := testutil.Counter(reg, "transport.wire_bodies"); got != 1 {
-		t.Fatalf("wire_bodies = %d, want 1", got)
-	}
-	if got := testutil.Counter(reg, "transport.gob_bodies"); got != 3 {
-		t.Fatalf("gob_bodies = %d, want 3 (the fallback retry plus two remembered)", got)
-	}
 }
 
 func TestTCPNegotiatesWireEnvelope(t *testing.T) {
-	srv, err := ServeTCP("127.0.0.1:0", newWireEchoMux())
+	srv, err := ServeTCP("127.0.0.1:0", newEchoMux())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +79,7 @@ func TestTCPNegotiatesWireEnvelope(t *testing.T) {
 	defer caller.Close()
 	creg := metrics.New()
 	caller.Instrument(creg)
-	resp, err := Invoke[wireReq, wireResp](context.Background(), caller, srv.Addr(), "wecho", wireReq{Msg: "ab", N: 3})
+	resp, err := Invoke[echoReq, echoResp](context.Background(), caller, srv.Addr(), "echo", echoReq{Msg: "ab", N: 3})
 	if err != nil || resp.Msg != "ababab" {
 		t.Fatalf("resp=%q err=%v", resp.Msg, err)
 	}
@@ -164,60 +91,67 @@ func TestTCPNegotiatesWireEnvelope(t *testing.T) {
 	}
 }
 
-func TestTCPFallsBackToLegacyServer(t *testing.T) {
-	legacyMux := newWireEchoMux()
-	legacyMux.SetGobOnly(true)
-	srv, err := ServeTCPLegacy("127.0.0.1:0", legacyMux)
+// TestTCPServerRejectsBadPreface: a connection that does not open with this
+// build's frame header (here, another codec version) is closed unread.
+func TestTCPServerRejectsBadPreface(t *testing.T) {
+	srv, err := ServeTCP("127.0.0.1:0", newEchoMux())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	caller := NewTCPCaller()
-	caller.DialTimeout = time.Second
-	defer caller.Close()
-	reg := metrics.New()
-	caller.Instrument(reg)
-	for i := 0; i < 2; i++ {
-		resp, err := Invoke[wireReq, wireResp](context.Background(), caller, srv.Addr(), "wecho", wireReq{Msg: "y", N: 2})
-		if err != nil || resp.Msg != "yy" {
-			t.Fatalf("call %d: resp=%q err=%v", i, resp.Msg, err)
-		}
+	conn, err := net.DialTimeout("tcp", srv.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := testutil.Counter(reg, "transport.codec_fallbacks"); got != 1 {
-		t.Fatalf("codec_fallbacks = %d, want 1", got)
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write([]byte{0x00, 0xC6, wire.Version + 1}); err != nil {
+		t.Fatal(err)
 	}
-	if got := testutil.Counter(reg, "transport.wire_bodies"); got != 0 {
-		t.Fatalf("wire_bodies = %d, want 0 (legacy peer remembered at dial)", got)
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read after bad preface = %v, want EOF (connection closed)", err)
 	}
 }
 
-func TestTCPServesLegacyGobClient(t *testing.T) {
-	srv, err := ServeTCP("127.0.0.1:0", newWireEchoMux())
+// writeEnvelope sends one length-prefixed request envelope.
+func writeEnvelope(t *testing.T, conn net.Conn, payload []byte) {
+	t.Helper()
+	var lenBuf [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(lenBuf[:], uint64(len(payload)))
+	if _, err := conn.Write(append(lenBuf[:n], payload...)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readEnvelope reads one length-prefixed response envelope's payload.
+func readEnvelope(t *testing.T, br *bufio.Reader) []byte {
+	t.Helper()
+	plen, err := binary.ReadUvarint(br)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	sreg := metrics.New()
-	srv.Instrument(sreg)
-	caller := NewTCPCaller()
-	caller.DisableWire() // a client binary predating the codec
-	defer caller.Close()
-	resp, err := Invoke[wireReq, wireResp](context.Background(), caller, srv.Addr(), "wecho", wireReq{Msg: "z", N: 4})
-	if err != nil || resp.Msg != "zzzz" {
-		t.Fatalf("resp=%q err=%v", resp.Msg, err)
+	payload := make([]byte, plen)
+	if _, err := io.ReadFull(br, payload); err != nil {
+		t.Fatal(err)
 	}
-	if got := testutil.Counter(sreg, "transport.serve_gob_conns"); got != 1 {
-		t.Fatalf("serve_gob_conns = %d, want 1", got)
-	}
+	return payload
 }
 
 // TestTCPWireEnvelopeLayout is the regression test pinning the frame layout:
 // it speaks the protocol with raw socket reads and writes, byte for byte —
-// preface, ack, then an envelope of (uvarint length, method, trace, body)
+// preface, then an envelope of (uvarint length, method, trace, budget, body)
 // where the body is one wire frame copied in verbatim. If any of this
-// drifts, old nodes stop interoperating; change the codec version instead.
+// drifts, deployed nodes stop interoperating; change the codec version
+// instead.
 func TestTCPWireEnvelopeLayout(t *testing.T) {
-	srv, err := ServeTCP("127.0.0.1:0", newWireEchoMux())
+	served := make(chan context.Context, 2)
+	mux := newEchoMux()
+	inner := mux.handlers["echo"]
+	mux.HandleRaw("echo", func(ctx context.Context, body []byte) ([]byte, error) {
+		served <- ctx
+		return inner(ctx, body)
+	})
+	srv, err := ServeTCP("127.0.0.1:0", mux)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,51 +163,33 @@ func TestTCPWireEnvelopeLayout(t *testing.T) {
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
 
-	// Preface and ack, as raw bytes.
+	// The preface, as raw bytes; the server sends nothing back.
 	if _, err := conn.Write([]byte{0x00, 0xC6, wire.Version}); err != nil {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(conn)
-	var ack [2]byte
-	if _, err := io.ReadFull(br, ack[:]); err != nil {
-		t.Fatal(err)
-	}
-	if ack != [2]byte{0xC6, wire.Version} {
-		t.Fatalf("ack = %#v, want [0xC6, wire.Version]", ack)
-	}
 
 	// Request envelope, assembled by hand. The body is the wire frame for
-	// wireReq{Msg:"ab", N:2} — and must appear in the envelope verbatim
-	// (encoded exactly once; the double-gob these envelopes replaced put a
-	// gob stream inside a gob stream here).
-	body := wire.Marshal(wireReq{Msg: "ab", N: 2})
+	// echoReq{Msg:"ab", N:2} and must appear in the envelope verbatim
+	// (encoded exactly once).
+	body := wire.Marshal(echoReq{Msg: "ab", N: 2})
 	e := wire.GetEncoder()
-	e.String("wecho") // method
-	e.String("")      // trace ID (absent)
-	e.String("")      // span ID (absent)
+	e.String("echo") // method
+	e.String("")     // trace ID (absent)
+	e.String("")     // span ID (absent)
+	e.Byte(0)        // sampling flags (none)
+	e.Varint(0)      // budget (no deadline)
 	e.Bytes(body)
 	payload := append([]byte{}, e.Data()...)
 	wire.PutEncoder(e)
 	if !bytes.Contains(payload, body) {
 		t.Fatal("request body not embedded verbatim in the envelope")
 	}
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(payload)))
-	if _, err := conn.Write(append(lenBuf[:n], payload...)); err != nil {
-		t.Fatal(err)
-	}
+	writeEnvelope(t, conn, payload)
 
 	// Response envelope: uvarint length, then errText string + body bytes,
 	// the body again one verbatim wire frame.
-	plen, err := binary.ReadUvarint(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rpayload := make([]byte, plen)
-	if _, err := io.ReadFull(br, rpayload); err != nil {
-		t.Fatal(err)
-	}
-	d := wire.NewDecoder(rpayload)
+	d := wire.NewDecoder(readEnvelope(t, br))
 	if errText := d.String(); errText != "" {
 		t.Fatalf("remote error: %q", errText)
 	}
@@ -281,70 +197,38 @@ func TestTCPWireEnvelopeLayout(t *testing.T) {
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}
-	want := wire.Marshal(wireResp{Msg: "abab"})
+	want := wire.Marshal(echoResp{Msg: "abab"})
 	if !bytes.Equal(rbody, want) {
 		t.Fatalf("response body drifted:\n got: % x\nwant: % x", rbody, want)
 	}
+	if _, ok := (<-served).Deadline(); ok {
+		t.Fatal("a zero budget gave the handler a deadline")
+	}
 
-	// Second request on the same connection, this time with the sampling
-	// flags byte appended after the body — the envelope's optional trailing
-	// field. New clients send it; the first request above pins that servers
-	// still accept envelopes without it.
+	// Second request on the same connection, with a trace, sampling flags
+	// and a 60 s budget: the handler sees all three.
 	e = wire.GetEncoder()
-	e.String("wecho")
-	e.String("") // trace ID
-	e.String("") // span ID
+	e.String("echo")
+	e.String("t-1") // trace ID
+	e.String("s-1") // span ID
+	e.Byte(0x03)    // FlagSampleKnown | FlagSampled
+	e.Varint(60_000)
 	e.Bytes(body)
-	e.Byte(0x03) // FlagSampleKnown | FlagSampled
 	payload = append([]byte{}, e.Data()...)
 	wire.PutEncoder(e)
-	n = binary.PutUvarint(lenBuf[:], uint64(len(payload)))
-	if _, err := conn.Write(append(lenBuf[:n], payload...)); err != nil {
-		t.Fatal(err)
-	}
-	plen, err = binary.ReadUvarint(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rpayload = make([]byte, plen)
-	if _, err := io.ReadFull(br, rpayload); err != nil {
-		t.Fatal(err)
-	}
-	d = wire.NewDecoder(rpayload)
+	writeEnvelope(t, conn, payload)
+	d = wire.NewDecoder(readEnvelope(t, br))
 	if errText := d.String(); errText != "" {
-		t.Fatalf("flagged request remote error: %q", errText)
+		t.Fatalf("traced request remote error: %q", errText)
 	}
 	if !bytes.Equal(d.Bytes(), want) {
-		t.Fatal("flagged request got a different response body")
+		t.Fatal("traced request got a different response body")
 	}
-}
-
-// TestWireResponseMirrorsRequestCodec pins the compatibility rule that old
-// gob callers never receive wire bytes: the same handler answers a gob
-// request in gob and a wire request in wire.
-func TestWireResponseMirrorsRequestCodec(t *testing.T) {
-	mux := newWireEchoMux()
-	ctx := context.Background()
-	gobBody, _, err := EncodeBody(wireReq{Msg: "a", N: 1}, false)
-	if err != nil {
-		t.Fatal(err)
+	ctx := <-served
+	if sc, _ := trace.FromContext(ctx); sc != (trace.SpanContext{TraceID: "t-1", SpanID: "s-1", Flags: 0x03}) {
+		t.Fatalf("handler saw span context %+v", sc)
 	}
-	out, err := mux.Handle(ctx, "wecho", gobBody)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wire.IsFrame(out) {
-		t.Fatal("gob request got a wire response")
-	}
-	wireBody, _, err := EncodeBody(wireReq{Msg: "a", N: 1}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err = mux.Handle(ctx, "wecho", wireBody)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !wire.IsFrame(out) {
-		t.Fatal("wire request got a gob response")
+	if dl, ok := ctx.Deadline(); !ok || time.Until(dl) > time.Minute {
+		t.Fatalf("handler deadline = %v, %v; want within the 60 s budget", dl, ok)
 	}
 }

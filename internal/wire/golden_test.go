@@ -1,7 +1,7 @@
-// Golden wire-format vectors: one frozen encoding per hot message type,
-// checked byte for byte. Once old nodes exist in a fleet, the format cannot
-// change silently — any intentional change must bump wire.Version and
-// regenerate these files with:
+// Golden wire-format vectors: one frozen encoding per message type, checked
+// byte for byte. Once nodes are deployed, the format cannot change silently —
+// any intentional change must bump wire.Version and regenerate these files
+// with:
 //
 //	WIRE_GOLDEN_UPDATE=1 go test ./internal/wire/ -run TestGoldenVectors
 package wire_test
@@ -16,14 +16,16 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/event"
+	"repro/internal/lvm"
 	"repro/internal/registry"
 	"repro/internal/sign"
+	"repro/internal/svc"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
-// goldenMessages are fixed, fully populated values of every hot message
-// type. Field values are arbitrary but frozen: changing them invalidates the
+// goldenMessages are fixed, fully populated values of the message types. Field values are arbitrary but frozen: changing them invalidates the
 // vectors just as a codec change would.
 func goldenMessages() map[string]wire.Marshaler {
 	signed := core.SignedExtension{
@@ -52,12 +54,10 @@ func goldenMessages() map[string]wire.Marshaler {
 	}
 	return map[string]wire.Marshaler{
 		"renew_ext_req":    core.RenewExtReq{LeaseID: "lease-42", DurMillis: 60_000},
-		"renew_ext_resp":   core.RenewExtResp{DurMillis: 45_000},
 		"renew_batch_req":  core.RenewBatchReq{Items: []core.RenewExtReq{{LeaseID: "lease-1", DurMillis: 60_000}, {LeaseID: "lease-2", DurMillis: 30_000}}},
 		"renew_batch_resp": core.RenewBatchResp{Items: []core.RenewItemResp{{DurMillis: 60_000}, {DurMillis: 0, Err: "lease: expired"}}},
-		// The observability piggyback rides as optional trailing fields: the
-		// two vectors above pin that their absence keeps the old bytes, these
-		// pin the encoding when present.
+		// The observability piggyback: the two vectors above pin its absence,
+		// these its encoding when present.
 		"renew_batch_req_obs": core.RenewBatchReq{Items: []core.RenewExtReq{{LeaseID: "lease-1", DurMillis: 60_000}}, WantObs: true},
 		"renew_batch_resp_obs": core.RenewBatchResp{
 			Items: []core.RenewItemResp{{DurMillis: 60_000}},
@@ -72,10 +72,8 @@ func goldenMessages() map[string]wire.Marshaler {
 			},
 		},
 		"install_req":      core.InstallReq{Signed: signed, BaseAddr: "base-1", DurMillis: 60_000},
-		"install_resp":     core.InstallResp{LeaseID: "lease-77"},
 		"apply_batch_req":  core.ApplyBatchReq{Installs: []core.InstallReq{{Signed: signed, BaseAddr: "base-1", DurMillis: 60_000}}, Revokes: []string{"stale-ext"}},
 		"apply_batch_resp": core.ApplyBatchResp{Installs: []core.InstallItemResp{{LeaseID: "lease-78"}}, Revokes: []core.RevokeItemResp{{}}},
-		"revoke_req":       core.RevokeReq{Name: "policy"},
 		"list_resp":        core.ListResp{Extensions: []core.ExtensionInfo{{ID: "ext-0001", Name: "policy", Version: 3, BaseAddr: "base-1", System: false}, {ID: "ext-0002", Name: "session", Version: 1, BaseAddr: "base-1", System: true}}},
 		"empty_resp":       core.EmptyResp{},
 		"inventory_resp":   core.InventoryResp{Node: "node-00017", Items: []core.InventoryItem{{Name: "policy", Version: 3, BaseAddr: "base-1", LeaseID: "lease-42", DeadlineMillis: 1_060_000}}},
@@ -89,7 +87,22 @@ func goldenMessages() map[string]wire.Marshaler {
 		"watch_resp":       registry.WatchResp{WatchID: "w-5", DurMillis: 60_000},
 		"renew_watch_req":  registry.RenewWatchReq{WatchID: "w-5", DurMillis: 60_000},
 		"unwatch_req":      registry.UnwatchReq{WatchID: "w-5"},
-		"span_context":     trace.SpanContext{TraceID: "t-0123456789abcdef", SpanID: "s-00ff"},
+		"span_context":     trace.SpanContext{TraceID: "t-0123456789abcdef", SpanID: "s-00ff", Flags: trace.FlagSampleKnown | trace.FlagSampled},
+		"invoke_req": svc.InvokeReq{Service: "Motor", Method: "rotate", Caller: "operator", Args: []lvm.Value{
+			lvm.Int(-90), lvm.Bool(true), lvm.Str("x"), lvm.Bytes([]byte{0x01, 0x02}), lvm.Nil(),
+		}},
+		"invoke_resp": svc.InvokeResp{Result: lvm.Int(90)},
+		"notification": event.Notification{
+			Source: "lookup-1",
+			Seq:    7,
+			Kind:   "registry.added",
+			Body: wire.Marshal(registry.Event{
+				Kind:  registry.Added,
+				Item:  registry.ServiceItem{ID: "svc-9", Name: "midas.adaptation", Addr: "10.0.0.9:4410"},
+				Trace: trace.SpanContext{TraceID: "t-1", SpanID: "s-1"},
+			}),
+			Trace: trace.SpanContext{TraceID: "t-1", SpanID: "s-2", Flags: trace.FlagSampleKnown},
+		},
 	}
 }
 
@@ -114,7 +127,7 @@ func TestGoldenVectors(t *testing.T) {
 				t.Fatalf("corrupt golden vector %s: %v", path, err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("wire format drifted for %s — old nodes would stop decoding this; "+
+				t.Fatalf("wire format drifted for %s — deployed nodes would stop decoding this; "+
 					"bump wire.Version instead of changing the format in place\n got: %s\nwant: %s",
 					name, hex.EncodeToString(got), hex.EncodeToString(want))
 			}

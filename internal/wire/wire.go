@@ -1,25 +1,20 @@
-// Package wire is the platform's hand-rolled, zero-reflection binary codec
-// for the hot RPC message types. Where encoding/gob walks every value through
-// reflection and re-transmits type descriptors on every message (a fresh
-// encoder per RPC never amortizes them), wire messages marshal themselves
-// field by field into a flat byte buffer: unsigned varints for counts and
-// lengths, zigzag varints for signed integers, length-prefixed UTF-8 for
-// strings and raw bytes, and key-sorted entries for string maps so the same
-// value always produces the same bytes (replays and golden vectors are
-// bit-for-bit stable).
+// Package wire is the platform's hand-rolled, zero-reflection binary codec,
+// the one codec every RPC message on every fabric uses. Messages marshal
+// themselves field by field into a flat byte buffer: unsigned varints for
+// counts and lengths, zigzag varints for signed integers, length-prefixed
+// UTF-8 for strings and raw bytes, and key-sorted entries for string maps so
+// the same value always produces the same bytes (replays and golden vectors
+// are bit-for-bit stable).
 //
-// Every marshalled message is framed with a 3-byte self-describing header:
+// Every marshalled message is framed with a 3-byte header:
 //
-//	offset 0: 0x00  — a byte no gob stream can start with (gob's leading
-//	                  message-length varint is never zero), so a frame is
-//	                  distinguishable from a gob body at a glance
+//	offset 0: 0x00  — fixed lead byte
 //	offset 1: 0xC6  — the wire magic
-//	offset 2: 0x01  — the codec version
+//	offset 2: 0x03  — the codec version
 //
-// The header is what lets transport.Decode dispatch between the two codecs,
-// old peers reject frames with their familiar gob error (which the fabrics
-// translate into a remembered per-peer gob fallback), and the version byte
-// evolve the format without flag days.
+// Decoders accept exactly one version, so the version byte turns a format
+// mismatch into a clear error instead of garbage. The TCP fabric sends the
+// same three bytes as its connection preface.
 package wire
 
 import (
@@ -32,13 +27,13 @@ import (
 
 // Version is the wire-format version emitted by this build. Decoders accept
 // exactly this version; bumping it is a format change and must come with new
-// golden vectors. Version 2 added Extension.Flows (declared information-flow
-// rules) between Caps and Meta; version-1 peers interoperate through the gob
-// fallback, which the transport negotiates per type.
-const Version = 2
+// golden vectors. Version 2 added Extension.Flows; version 3 put every
+// fabric message on the codec and made the formerly optional trailing fields
+// (the TCP envelope's sampling flags and budget, the renewal batch's
+// observability piggyback) plain fields.
+const Version = 3
 
-// Magic is the second frame-header byte. The TCP fabric reuses it in its
-// codec-negotiation ack.
+// Magic is the second frame-header byte.
 const Magic = 0xC6
 
 // Frame header bytes (see the package comment for the layout).
@@ -66,7 +61,7 @@ type Unmarshaler interface {
 func Header() []byte { return []byte{headerZero, Magic, Version} }
 
 // IsFrame reports whether data begins with a wire frame header (any
-// version). Gob bodies never match: a gob stream cannot start with 0x00.
+// version).
 func IsFrame(data []byte) bool {
 	return len(data) >= headerLen && data[0] == headerZero && data[1] == Magic
 }
@@ -190,6 +185,14 @@ func (e *Encoder) StringSlice(ss []string) {
 	}
 }
 
+// Slice appends a count-prefixed slice of messages.
+func Slice[T Marshaler](e *Encoder, s []T) {
+	e.Len(len(s))
+	for _, m := range s {
+		m.MarshalWire(e)
+	}
+}
+
 // StringMap appends a count-prefixed map in ascending key order, so equal
 // maps always encode to equal bytes.
 func (e *Encoder) StringMap(m map[string]string) {
@@ -232,12 +235,6 @@ func (d *Decoder) fail(err error) {
 
 // remaining reports the undecoded byte count.
 func (d *Decoder) remaining() int { return len(d.data) - d.off }
-
-// More reports whether undecoded bytes remain and no error is pending. It is
-// the hook for optional trailing fields: an unmarshaler that has read every
-// field an old encoder wrote can probe More to decode fields a newer encoder
-// appended, keeping old bytes decodable without a version bump.
-func (d *Decoder) More() bool { return d.err == nil && d.off < len(d.data) }
 
 // Uvarint reads an unsigned varint.
 func (d *Decoder) Uvarint() uint64 {
@@ -359,6 +356,26 @@ func (d *Decoder) StringSlice() []string {
 	}
 	if d.err != nil {
 		return nil
+	}
+	return out
+}
+
+// DecodeSlice reads a count-prefixed slice of messages, decoding each
+// element through its pointer (length 0 decodes as nil).
+func DecodeSlice[T any, PT interface {
+	*T
+	Unmarshaler
+}](d *Decoder) []T {
+	n := d.Len()
+	if d.err != nil || n == 0 {
+		return nil
+	}
+	out := make([]T, n)
+	for i := range out {
+		if err := PT(&out[i]).UnmarshalWire(d); err != nil {
+			d.fail(err)
+			return nil
+		}
 	}
 	return out
 }

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"math"
 	"strings"
@@ -179,24 +178,6 @@ func TestStickyError(t *testing.T) {
 	_ = d.Bytes()
 	if d.Err() != first {
 		t.Fatalf("sticky error replaced: %v -> %v", first, d.Err())
-	}
-}
-
-// TestGobCannotStartWithZero pins the property the self-describing header
-// depends on: a gob stream never begins with 0x00, and a gob decoder fed a
-// wire frame errors out promptly instead of hanging or succeeding.
-func TestGobCannotStartWithZero(t *testing.T) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(testMsg{S: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Bytes()[0] == 0x00 {
-		t.Fatalf("gob stream starts with 0x00: % x", buf.Bytes()[:4])
-	}
-	frame := Marshal(testMsg{S: "x"})
-	var out testMsg
-	if err := gob.NewDecoder(bytes.NewReader(frame)).Decode(&out); err == nil {
-		t.Fatal("gob decoder accepted a wire frame")
 	}
 }
 

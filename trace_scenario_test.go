@@ -122,7 +122,7 @@ func TestScenarioTracedLifecycle(t *testing.T) {
 	t.Cleanup(stop)
 
 	// Base whose first install response is lost on the "wireless" link.
-	lossy := &respLossCaller{inner: w.net.Node("base-1"), drop: map[string]bool{core.MethodInstall: true}}
+	lossy := &respLossCaller{inner: w.net.Node("base-1"), drop: map[string]bool{core.MethodApplyBatch: true}}
 	b := newTracedBase(w, "base-1", tr, lossy)
 	if err := b.base.AddExtension(noopScenarioExt("policy", 1)); err != nil {
 		t.Fatal(err)
@@ -149,10 +149,17 @@ func TestScenarioTracedLifecycle(t *testing.T) {
 	waitFor(t, "adaptation via lookup", func() bool { return n.receiver.Has("policy") })
 	waitFor(t, "base adapted the node", func() bool { return len(b.base.Adapted()) == 1 })
 
-	// At least one renewal cycle.
+	// At least one renewal cycle. The push's retry finishes on the base's
+	// own goroutine after the node already has the extension; the renewal
+	// is scheduled from that moment, so the clock may only move once the
+	// base tracks the grant.
+	waitFor(t, "base tracks the grant", func() bool { return b.base.ScheduledRenewals() == 1 })
 	renewalsBefore := n.counter("lease.renewals")
 	w.advance(6*time.Second, 500*time.Millisecond)
 	waitFor(t, "a lease renewal", func() bool { return n.counter("lease.renewals") > renewalsBefore })
+	// The node counts the renewal before the base has its answer and ends
+	// the lease.renew span; wait for the base's side too.
+	waitFor(t, "the renewal answered at the base", b.base.RenewalsQuiesced)
 
 	// Revocation.
 	if err := b.base.RemoveExtension("policy"); err != nil {
@@ -315,9 +322,10 @@ func TestScenarioTraceDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestScenarioTraceSentinelOverSimnet pins the satellite fix end to end on
-// the simulated fabric: a typed error crossing the simnet boundary must still
-// satisfy errors.Is at the caller.
+// TestScenarioTraceSentinelOverSimnet pins sentinel errors end to end on the
+// simulated fabric: a typed error crossing the simnet boundary — here one
+// renewal's outcome in a batch, rebuilt the way the base rebuilds it — must
+// still satisfy errors.Is at the caller.
 func TestScenarioTraceSentinelOverSimnet(t *testing.T) {
 	w := newSimWorld(t)
 	b := w.newBase("base-1", nil)
@@ -325,8 +333,15 @@ func TestScenarioTraceSentinelOverSimnet(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	_, err := transport.Invoke[core.RenewExtReq, core.RenewExtResp](ctx, w.net.Node("base-1"), "robot1",
-		core.MethodRenewE, core.RenewExtReq{LeaseID: "bogus", DurMillis: 1000})
+	resp, err := transport.Invoke[core.RenewBatchReq, core.RenewBatchResp](ctx, w.net.Node("base-1"), "robot1",
+		core.MethodRenewBatch, core.RenewBatchReq{Items: []core.RenewExtReq{{LeaseID: "bogus", DurMillis: 1000}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Items) != 1 || resp.Items[0].Err == "" {
+		t.Fatalf("renewal of a bogus lease succeeded: %+v", resp.Items)
+	}
+	err = transport.NewRemoteError(core.MethodRenewBatch, resp.Items[0].Err)
 	if !errors.Is(err, lease.ErrUnknownLease) {
 		t.Fatalf("renewal of a bogus lease over simnet: errors.Is(err, lease.ErrUnknownLease) = false, err = %v", err)
 	}

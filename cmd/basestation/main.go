@@ -313,10 +313,8 @@ func run() error {
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	<-sigCh
-	log.Printf("shutting down; activity log:")
-	for _, a := range base.Activity() {
-		log.Printf("  %d %-10s node=%s ext=%s %s", a.AtMillis, a.Event, a.Node, a.Ext, a.Detail)
-	}
+	log.Printf("shutting down; recent events:")
+	trace.WriteEventsText(log.Writer(), tracer.Events(trace.EventFilter{}))
 	return nil
 }
 

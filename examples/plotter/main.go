@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ext"
 	"repro/internal/lvm"
+	"repro/internal/metrics"
 	"repro/internal/mobility"
 	"repro/internal/plotter"
 	"repro/internal/registry"
@@ -124,6 +125,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	nodeMetrics := metrics.New()
+	receiver.Instrument(nodeMetrics)
 	receiver.Grantor().Start(10 * time.Millisecond)
 	defer receiver.Grantor().Stop()
 	nodeMux := transport.NewMux()
@@ -186,7 +189,8 @@ func run() error {
 		return err
 	}
 	waitFor(func() bool { return !receiver.Has("hw-monitoring") })
-	fmt.Printf("   extension revoked; receiver activity: %v\n", eventTrail(receiver))
+	fmt.Printf("   extension revoked; installed now: %v; receiver counted %d install(s), %d expiry(ies)\n",
+		names(receiver), nodeMetrics.CounterValue("ext.installs"), nodeMetrics.CounterValue("ext.expiries"))
 	return nil
 }
 
@@ -194,14 +198,6 @@ func names(r *core.Receiver) []string {
 	var out []string
 	for _, i := range r.Installed() {
 		out = append(out, fmt.Sprintf("%s@v%d", i.Name, i.Version))
-	}
-	return out
-}
-
-func eventTrail(r *core.Receiver) []string {
-	var out []string
-	for _, a := range r.Activity() {
-		out = append(out, a.Event+":"+a.Ext)
 	}
 	return out
 }

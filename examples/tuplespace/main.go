@@ -15,6 +15,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/lvm"
+	"repro/internal/metrics"
 	"repro/internal/sandbox"
 	"repro/internal/sign"
 	"repro/internal/tuplespace"
@@ -37,8 +38,8 @@ func run() error {
 	}
 
 	// Two nodes with different trust preferences: pda-a trusts the hall,
-	// pda-b trusts nobody.
-	makeNode := func(name string, trustHall bool) (*core.Receiver, *core.SpaceListener, error) {
+	// pda-b trusts nobody. Each counts its adaptation events in reg.
+	makeNode := func(name string, trustHall bool, reg *metrics.Registry) (*core.Receiver, *core.SpaceListener, error) {
 		trust := sign.NewTrustStore()
 		if trustHall {
 			trust.Trust("hall-1", hall.PublicKey())
@@ -59,14 +60,16 @@ func run() error {
 		if err != nil {
 			return nil, nil, err
 		}
+		receiver.Instrument(reg)
 		return receiver, &core.SpaceListener{Space: space, Receiver: receiver}, nil
 	}
 
-	recvA, listenA, err := makeNode("pda-a", true)
+	regA, regB := metrics.New(), metrics.New()
+	recvA, listenA, err := makeNode("pda-a", true, regA)
 	if err != nil {
 		return err
 	}
-	recvB, listenB, err := makeNode("pda-b", false)
+	recvB, listenB, err := makeNode("pda-b", false, regB)
 	if err != nil {
 		return err
 	}
@@ -105,8 +108,10 @@ func run() error {
 	clk.Advance(11 * time.Second)
 	recvA.Grantor().ExpireNow()
 	fmt.Printf("   pda-a adapted after expiry: %v\n", recvA.Has("hall-policy"))
-	for _, a := range recvA.Activity() {
-		fmt.Printf("   pda-a activity: %s %s\n", a.Event, a.Ext)
+	fmt.Printf("   pda-a installed now: %v\n", recvA.Installed())
+	for _, c := range []string{"ext.installs", "ext.expiries"} {
+		fmt.Printf("   pda-a %s = %d\n", c, regA.CounterValue(c))
 	}
+	fmt.Printf("   pda-b ext.rejects = %d\n", regB.CounterValue("ext.rejects"))
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -122,16 +123,6 @@ type BaseConfig struct {
 	RenewWorkers int
 }
 
-// BaseActivity is one entry of the base's distribution log (§3.2: each base
-// keeps track of what nodes were adapted, at what point in time).
-type BaseActivity struct {
-	AtMillis int64
-	Event    string // "adapt", "push", "depart", "revoke", "roam-hint", "roam-adopt", "degrade", "recover", "reconcile"
-	Node     string
-	Ext      string
-	Detail   string
-}
-
 type adaptedNode struct {
 	id   string
 	addr string
@@ -185,7 +176,7 @@ type Base struct {
 	lastReconcile map[string]ReconcileResult
 	stats         DriftCounters
 	neighbors     []string
-	activity      []BaseActivity
+	watches       []*lease.Renewer // keep WatchLookup's leased watches alive
 	reg           *metrics.Registry
 	m             baseMetrics
 	tracer        *trace.Tracer
@@ -205,8 +196,11 @@ type Base struct {
 	overload atomic.Pointer[func() overload.Snapshot]
 }
 
-// baseMetrics counts the distribution side of adaptation, mirroring the
-// distribution log; all fields are nil-safe no-ops until Instrument.
+// baseMetrics counts the distribution side of adaptation (§3.2: each base
+// keeps track of what nodes were adapted, and when — the when lives in the
+// spans and events of the base's tracer). Each event is counted where it
+// happens, successes only; a failure shows on its span's error. All fields
+// are nil-safe no-ops until Instrument.
 type baseMetrics struct {
 	adapts          *metrics.Counter
 	pushes          *metrics.Counter
@@ -470,7 +464,6 @@ func (b *Base) admit(ext Extension) error {
 			b.m.admFlowRejected.Inc()
 		}
 		b.mu.Unlock()
-		b.log("admit-reject", "", ext.Name, err.Error())
 	}
 	return err
 }
@@ -508,10 +501,17 @@ func (b *Base) AddExtension(ext Extension) error {
 	return nil
 }
 
-// pushToAllNodes distributes one extension to every adapted node, one worker
-// goroutine per shard — an adapt round parallelises across shards instead of
-// serialising under a global lock.
+// pushToAllNodes distributes one extension to every adapted node.
 func (b *Base) pushToAllNodes(ext Extension) {
+	b.eachAdaptedNode(func(n *adaptedNode) {
+		b.applyToNode(context.Background(), n, []Extension{ext}, nil)
+	})
+}
+
+// eachAdaptedNode runs fn over every adapted node, one worker goroutine per
+// shard visiting its nodes in address order — a policy change parallelises
+// across shards instead of serialising under a global lock.
+func (b *Base) eachAdaptedNode(fn func(n *adaptedNode)) {
 	var wg sync.WaitGroup
 	for i := range b.nodes.shards {
 		s := &b.nodes.shards[i]
@@ -529,10 +529,7 @@ func (b *Base) pushToAllNodes(ext Extension) {
 		go func(nodes []*adaptedNode) {
 			defer wg.Done()
 			for _, n := range nodes {
-				installErrs, _ := b.applyToNode(context.Background(), n, []Extension{ext}, nil)
-				if err := installErrs[ext.Name]; err != nil {
-					b.log("push", n.id, ext.Name, "failed: "+err.Error())
-				}
+				fn(n)
 			}
 		}(nodes)
 	}
@@ -590,34 +587,10 @@ func (b *Base) RemoveExtension(name string) error {
 	delete(b.reports, name)
 	b.mu.Unlock()
 
-	var wg sync.WaitGroup
-	for i := range b.nodes.shards {
-		s := &b.nodes.shards[i]
-		s.mu.Lock()
-		nodes := make([]*adaptedNode, 0, len(s.adapted))
-		for _, n := range s.adapted {
-			nodes = append(nodes, n)
-		}
-		s.mu.Unlock()
-		if len(nodes) == 0 {
-			continue
-		}
-		sort.Slice(nodes, func(a, b int) bool { return nodes[a].addr < nodes[b].addr })
-		wg.Add(1)
-		go func(nodes []*adaptedNode) {
-			defer wg.Done()
-			for _, n := range nodes {
-				b.stopTracking(n.addr, name)
-				_, revokeErrs := b.applyToNode(context.Background(), n, nil, []string{name})
-				detail := ""
-				if err := revokeErrs[name]; err != nil {
-					detail = "failed: " + err.Error()
-				}
-				b.log("revoke", n.id, name, detail)
-			}
-		}(nodes)
-	}
-	wg.Wait()
+	b.eachAdaptedNode(func(n *adaptedNode) {
+		b.stopTracking(n.addr, name)
+		b.applyToNode(context.Background(), n, nil, []string{name})
+	})
 	return nil
 }
 
@@ -678,33 +651,34 @@ func (b *Base) AdaptNodeCtx(ctx context.Context, nodeID, nodeAddr string) error 
 	s.mu.Unlock()
 	b.mu.Lock()
 	exts := append([]Extension(nil), b.extensions...)
+	m := b.m
 	b.mu.Unlock()
+	m.adapts.Inc()
+	m.adapted.Add(1)
 
 	ctx, sp := b.traceRef().StartSpan(ctx, "base.adapt")
 	sp.Tag("node", nodeID)
 	sp.Annotatef("%d extensions to push", len(exts))
 
-	b.log("adapt", nodeID, "", fmt.Sprintf("%d extensions", len(exts)))
-	// The whole policy set rides one batched apply when the peer supports it.
+	// The whole policy set rides one batched apply.
 	installErrs, _ := b.applyToNode(ctx, n, exts, nil)
 	var firstErr error
 	for _, ext := range exts {
-		if err := installErrs[ext.Name]; err != nil {
-			b.log("push", nodeID, ext.Name, "failed: "+err.Error())
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
+		firstErr = cmp.Or(firstErr, installErrs[ext.Name])
 	}
 	sp.End(firstErr)
 	if firstErr != nil {
 		// Nothing woven anywhere reachable: forget the node so a later
 		// attempt can retry cleanly.
 		s.mu.Lock()
-		if len(n.grants) == 0 && s.adapted[nodeAddr] == n {
+		forget := len(n.grants) == 0 && s.adapted[nodeAddr] == n
+		if forget {
 			delete(s.adapted, nodeAddr)
 		}
 		s.mu.Unlock()
+		if forget {
+			m.adapted.Add(-1)
+		}
 	}
 	return firstErr
 }
@@ -714,42 +688,37 @@ func (b *Base) Adapted() []string {
 	return b.nodes.adaptedAddrs()
 }
 
-// Activity returns the distribution log.
-func (b *Base) Activity() []BaseActivity {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]BaseActivity, len(b.activity))
-	copy(out, b.activity)
-	return out
-}
-
 // Release stops renewing all leases held at the node and forgets it (journal
 // record included — the release is deliberate); the receiver will expire and
 // withdraw the extensions on its own (§3.2's revocation path).
 func (b *Base) Release(nodeAddr string) {
 	s := b.nodes.shard(nodeAddr)
 	s.mu.Lock()
-	n, ok := s.adapted[nodeAddr]
-	if ok {
-		delete(s.adapted, nodeAddr)
-	}
+	_, wasAdapted := s.adapted[nodeAddr]
+	delete(s.adapted, nodeAddr)
 	_, wasDegraded := s.degraded[nodeAddr]
 	delete(s.degraded, nodeAddr)
 	s.mu.Unlock()
 	b.sched.CancelNode(nodeAddr)
-	if ok || wasDegraded {
-		if err := b.cfg.Journal.DeleteNode(nodeAddr); err != nil {
-			b.metricsRef().journalErrs.Inc()
-		}
+	m := b.metricsRef()
+	if wasAdapted {
+		m.departures.Inc()
+		m.adapted.Add(-1)
 	}
-	if ok {
-		b.log("depart", n.id, "", "released")
+	if wasDegraded {
+		m.degraded.Add(-1)
+	}
+	if wasAdapted || wasDegraded {
+		if err := b.cfg.Journal.DeleteNode(nodeAddr); err != nil {
+			m.journalErrs.Inc()
+		}
 	}
 }
 
-// Close stops the reconciler and the renewal scheduler. Unlike Release it
-// keeps the journal records: a graceful shutdown is indistinguishable from a
-// crash on restart, and Recover resumes the same state either way.
+// Close stops the reconciler, the lookup watch renewals and the renewal
+// scheduler. Unlike Release it keeps the journal records: a graceful shutdown
+// is indistinguishable from a crash on restart, and Recover resumes the same
+// state either way.
 func (b *Base) Close() {
 	if b.closed.Swap(true) {
 		return
@@ -757,20 +726,22 @@ func (b *Base) Close() {
 	b.mu.Lock()
 	stop := b.reconcileStop
 	done := b.reconcileDone
+	watches := b.watches
+	b.watches = nil
 	b.mu.Unlock()
 	if stop != nil {
 		close(stop)
 		<-done
 	}
-	nodes := b.nodes.clear()
-	b.sched.Stop()
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].addr < nodes[j].addr })
-	for _, n := range nodes {
-		b.log("depart", n.id, "", "released")
+	for _, w := range watches {
+		w.Stop()
 	}
+	adapted, degraded := b.nodes.clear()
+	b.sched.Stop()
 	m := b.metricsRef()
-	m.adapted.Set(0)
-	m.degraded.Set(0)
+	m.departures.Add(uint64(adapted))
+	m.adapted.Add(-int64(adapted))
+	m.degraded.Add(-int64(degraded))
 }
 
 // Recover replays the base journal after a crash or restart: every
@@ -790,6 +761,7 @@ func (b *Base) Recover() (int, error) {
 	}
 	sort.Strings(addrs)
 	now := b.cfg.Clock.Now()
+	m, tr := b.metricsRef(), b.traceRef()
 	restored := 0
 	for _, addr := range addrs {
 		rec := recs[addr]
@@ -799,11 +771,17 @@ func (b *Base) Recover() (int, error) {
 		s := b.nodes.shard(addr)
 		if rec.Degraded {
 			s.mu.Lock()
-			if _, dup := s.adapted[addr]; !dup {
+			_, dup := s.adapted[addr]
+			_, parked := s.degraded[addr]
+			if !dup {
 				s.degraded[addr] = rec.ID
 			}
 			s.mu.Unlock()
-			b.log("degrade", rec.ID, "", "restored from journal; awaiting reconciliation")
+			if !dup && !parked {
+				m.degraded.Add(1)
+			}
+			m.degrades.Inc()
+			tr.Eventf(nil, "base", "node %s restored degraded from journal; awaiting reconciliation", rec.ID)
 			continue
 		}
 		n := newAdaptedNode(rec.ID, addr)
@@ -814,6 +792,7 @@ func (b *Base) Recover() (int, error) {
 		}
 		s.adapted[addr] = n
 		s.mu.Unlock()
+		m.adapted.Add(1)
 		names := make([]string, 0, len(rec.Exts))
 		for name := range rec.Exts {
 			names = append(names, name)
@@ -833,7 +812,8 @@ func (b *Base) Recover() (int, error) {
 			b.trackGrant(n, name, g, g.deadline.Sub(now), trace.SpanContext{})
 		}
 		restored++
-		b.log("recover", rec.ID, "", fmt.Sprintf("%d leases resumed", len(rec.Exts)))
+		m.recovers.Inc()
+		tr.Eventf(nil, "base", "node %s recovered from journal; %d leases resumed", rec.ID, len(rec.Exts))
 	}
 	return restored, nil
 }
@@ -951,18 +931,20 @@ func (b *Base) nodeDeparted(nodeAddr string) {
 	b.mu.Lock()
 	neighbors := append([]string(nil), b.neighbors...)
 	cb := b.onDepart
+	m, tr := b.m, b.tracer
 	b.mu.Unlock()
 	if !ok {
 		return
 	}
-	tr := b.traceRef()
+	m.adapted.Add(-1)
 	if degrade {
 		_, dsp := tr.StartSpan(context.Background(), "base.degrade")
 		dsp.Tag("node", n.id)
 		dsp.Annotatef("circuit open; parked for reconciliation")
 		dsp.End(nil)
 		tr.Eventf(nil, "base", "node %s degraded (circuit open); awaiting reconciliation", n.id)
-		b.log("degrade", n.id, "", "circuit open; awaiting reconciliation")
+		m.degrades.Inc()
+		m.degraded.Add(1)
 		// Keep the journal record but flag it, so a restarted base knows to
 		// reconcile rather than resume renewals.
 		if b.cfg.Journal != nil {
@@ -978,20 +960,20 @@ func (b *Base) nodeDeparted(nodeAddr string) {
 			}
 			s.mu.Unlock()
 			if err := b.cfg.Journal.PutNode(nodeAddr, rec); err != nil {
-				b.metricsRef().journalErrs.Inc()
+				m.journalErrs.Inc()
 			}
 		}
 		return
 	}
 	if err := b.cfg.Journal.DeleteNode(nodeAddr); err != nil {
-		b.metricsRef().journalErrs.Inc()
+		m.journalErrs.Inc()
 	}
 	_, dsp := tr.StartSpan(context.Background(), "base.depart")
 	dsp.Tag("node", n.id)
 	dsp.Annotatef("lease renewal failed")
 	dsp.End(nil)
 	tr.Eventf(nil, "base", "node %s departed (lease renewal failed)", n.id)
-	b.log("depart", n.id, "", "lease renewal failed")
+	m.departures.Inc()
 
 	// Simple roaming: hint neighbour bases that the node may have entered
 	// their area.
@@ -1000,11 +982,12 @@ func (b *Base) nodeDeparted(nodeAddr string) {
 		_, err := transport.Invoke[RoamReq, EmptyResp](ctx, b.caller, nb, MethodBaseRoam,
 			RoamReq{NodeID: n.id, NodeAddr: n.addr})
 		cancel()
-		detail := nb
 		if err != nil {
-			detail = nb + " failed: " + err.Error()
+			tr.Eventf(nil, "base", "roam hint for node %s to %s failed: %v", n.id, nb, err)
+			continue
 		}
-		b.log("roam-hint", n.id, "", detail)
+		m.roamHints.Inc()
+		tr.Eventf(nil, "base", "roam hint for node %s sent to %s", n.id, nb)
 	}
 	if cb != nil {
 		cb(nodeAddr)
@@ -1027,43 +1010,6 @@ func (b *Base) stopTracking(nodeAddr, extName string) {
 	}
 	delete(n.grants, extName)
 	b.journalNode(n)
-}
-
-func (b *Base) log(ev, node, ext, detail string) {
-	// Gauge values come from the shard table; compute them before taking
-	// b.mu (lock order: shard locks never follow b.mu).
-	nAdapted, nDegraded := b.nodes.counts()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.activity = append(b.activity, BaseActivity{
-		AtMillis: b.cfg.Clock.Now().UnixMilli(),
-		Event:    ev,
-		Node:     node,
-		Ext:      ext,
-		Detail:   detail,
-	})
-	switch ev {
-	case "adapt":
-		b.m.adapts.Inc()
-	case "push":
-		if detail == "" {
-			b.m.pushes.Inc()
-		} else {
-			b.m.pushErrors.Inc()
-		}
-	case "depart":
-		b.m.departures.Inc()
-	case "revoke":
-		b.m.revokes.Inc()
-	case "roam-hint":
-		b.m.roamHints.Inc()
-	case "degrade":
-		b.m.degrades.Inc()
-	case "recover":
-		b.m.recovers.Inc()
-	}
-	b.m.adapted.Set(int64(nAdapted))
-	b.m.degraded.Set(int64(nDegraded))
 }
 
 // ServeOn registers the base's RPC surface on mux: the monitoring record
@@ -1121,13 +1067,33 @@ func (b *Base) ServeOn(mux *transport.Mux) {
 
 // WatchLookup subscribes the base to adaptation-service arrivals at the
 // lookup service behind client, and adapts all already-registered nodes. The
-// base must already be served on its own mux (ServeOn) so the watcher
-// callback can reach it.
+// watch is leased for watchDur and renewed at half its lease until Close, as
+// Receiver.Advertise keeps a registration alive. The base must already be
+// served on its own mux (ServeOn) so the watcher callback can reach it.
 func (b *Base) WatchLookup(client *registry.Client, watchDur time.Duration) (string, error) {
 	watchID, err := client.Watch(registry.Template{Name: AdaptationService}, watchDur, b.cfg.Addr, MethodBaseOnService)
 	if err != nil {
 		return "", fmt.Errorf("core: watch lookup: %w", err)
 	}
+	renewer := lease.NewRenewer(b.cfg.Clock,
+		lease.Lease{ID: lease.ID(watchID), Duration: watchDur},
+		func(id lease.ID, d time.Duration) (lease.Lease, error) {
+			if err := client.RenewWatch(string(id), d); err != nil {
+				return lease.Lease{}, err
+			}
+			return lease.Lease{ID: id, Duration: d}, nil
+		},
+		0.5, nil)
+	b.mu.Lock()
+	if b.closed.Load() {
+		b.mu.Unlock()
+		return watchID, fmt.Errorf("core: base %s is closed", b.cfg.Name)
+	}
+	renewer.Instrument(b.reg)
+	renewer.Trace(b.tracer)
+	renewer.Start()
+	b.watches = append(b.watches, renewer)
+	b.mu.Unlock()
 	items, err := client.Find(registry.Template{Name: AdaptationService})
 	if err != nil {
 		return watchID, fmt.Errorf("core: initial find: %w", err)

@@ -14,6 +14,7 @@ import (
 	"repro/internal/registry"
 	"repro/internal/sandbox"
 	"repro/internal/sign"
+	"repro/internal/simnet"
 	"repro/internal/store"
 	"repro/internal/testutil"
 	"repro/internal/transport"
@@ -46,6 +47,12 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 
 func newCluster(t *testing.T, leaseDur time.Duration) *cluster {
 	t.Helper()
+	return newClusterOn(t, leaseDur, clock.Real{})
+}
+
+// newClusterOn is newCluster with the lookup service and the base on clk.
+func newClusterOn(t *testing.T, leaseDur time.Duration, clk clock.Clock) *cluster {
+	t.Helper()
 	c := &cluster{
 		fabric: transport.NewInProc(),
 		world:  mobility.NewWorld(),
@@ -61,11 +68,11 @@ func newCluster(t *testing.T, leaseDur time.Duration) *cluster {
 	c.fabric.SetLinkFunc(c.world.LinkFunc())
 
 	// Lookup service.
-	c.lookup = registry.NewLookup(clock.Real{})
+	c.lookup = registry.NewLookup(clk)
 	c.lookup.Grantor().Start(5 * time.Millisecond)
 	c.stops = append(c.stops, c.lookup.Grantor().Stop)
 	lookupMux := transport.NewMux()
-	lookupSrv := registry.NewServer("lookup-1", c.lookup, lookupMux, c.fabric.Node("lookup-1"), clock.Real{})
+	lookupSrv := registry.NewServer("lookup-1", c.lookup, lookupMux, c.fabric.Node("lookup-1"), clk)
 	stop, err := c.fabric.Serve("lookup-1", lookupMux)
 	if err != nil {
 		t.Fatal(err)
@@ -83,6 +90,7 @@ func newCluster(t *testing.T, leaseDur time.Duration) *cluster {
 		Addr:          "base-1",
 		Caller:        c.fabric.Node("base-1"),
 		Signer:        signer,
+		Clock:         clk,
 		Store:         c.baseSt,
 		LeaseDur:      leaseDur,
 		RenewFraction: 0.5,
@@ -169,9 +177,42 @@ func TestBaseAdaptsArrivingNode(t *testing.T) {
 	waitUntil(t, "node adapted at base", func() bool { return len(c.base.Adapted()) == 1 })
 }
 
+// The base's lookup watch is leased like any registration: unless the base
+// keeps renewing it, the lookup drops it after one lease period and the base
+// never hears of another arrival.
+func TestWatchLookupKeepsWatchAlive(t *testing.T) {
+	clk := clock.NewManual(time.Unix(1000, 0))
+	c := newClusterOn(t, time.Minute, clk)
+	defer c.close()
+
+	if err := c.base.AddExtension(noopExt("policy", 1)); err != nil {
+		t.Fatal(err)
+	}
+	const watchDur = time.Minute
+	if _, err := c.base.WatchLookup(&registry.Client{Caller: c.fabric.Node("base-1"), Addr: "lookup-1"}, watchDur); err != nil {
+		t.Fatal(err)
+	}
+
+	// Three watch leases pass with no arrival, and the lookup sweeps.
+	simnet.Advance(clk, 3*watchDur, time.Second)
+	c.lookup.ExpireNow()
+
+	// Only now does the node arrive.
+	client := &registry.Client{Caller: c.fabric.Node("robot1"), Addr: "lookup-1"}
+	stopAdv, err := c.receiver.Advertise(client, time.Hour, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopAdv()
+	waitUntil(t, "late arrival adapted", func() bool { return c.receiver.Has("policy") })
+}
+
 func TestNodeDepartureRevokesExtensions(t *testing.T) {
 	c := newCluster(t, 100*time.Millisecond)
 	defer c.close()
+	baseReg, nodeReg := metrics.New(), metrics.New()
+	c.base.Instrument(baseReg)
+	c.receiver.Instrument(nodeReg)
 
 	if err := c.base.AddExtension(noopExt("policy", 1)); err != nil {
 		t.Fatal(err)
@@ -191,23 +232,15 @@ func TestNodeDepartureRevokesExtensions(t *testing.T) {
 	waitUntil(t, "lease expiry withdrawal", func() bool { return !c.receiver.Has("policy") })
 	waitUntil(t, "base departure record", func() bool { return len(c.base.Adapted()) == 0 })
 
-	sawExpire := false
-	for _, a := range c.receiver.Activity() {
-		if a.Event == "expire" && a.Ext == "policy" {
-			sawExpire = true
-		}
+	// The receiver withdrew by expiry, not by a revoke; the base counted the
+	// departure and its node gauge followed.
+	waitUntil(t, "receiver expiry counted", func() bool { return nodeReg.CounterValue("ext.expiries") == 1 })
+	if got := nodeReg.CounterValue("ext.withdrawals"); got != 0 {
+		t.Errorf("ext.withdrawals = %d, want 0", got)
 	}
-	if !sawExpire {
-		t.Error("receiver activity lacks expire event")
-	}
-	sawDepart := false
-	for _, a := range c.base.Activity() {
-		if a.Event == "depart" {
-			sawDepart = true
-		}
-	}
-	if !sawDepart {
-		t.Error("base activity lacks depart event")
+	waitUntil(t, "base departure counted", func() bool { return baseReg.CounterValue("base.departures") == 1 })
+	if got := baseReg.Snapshot().Gauges["base.adapted_nodes"]; got != 0 {
+		t.Errorf("base.adapted_nodes = %d after departure, want 0", got)
 	}
 }
 

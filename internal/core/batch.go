@@ -220,12 +220,13 @@ type renewItemMeta struct {
 }
 
 // applyToNode delivers installs and revokes to one node in one
-// midas.applyBatch exchange and returns per-extension outcomes. Push
-// successes are logged (and counted) here; push failures and revoke outcomes
-// are the caller's to log. A lone install is a "base.push" span and a lone
-// revoke a "base.revoke" span in the trace that installed the extension, so
-// a single operation's trace names what it did; several share one
-// "base.pushBatch" span.
+// midas.applyBatch exchange and returns per-extension outcomes. It counts
+// them too: base.pushes for each install whose grant the base now keeps
+// alive, base.push_errors for each that failed, base.revokes for each revoke
+// that succeeded. A lone install is a "base.push" span and a lone revoke a
+// "base.revoke" span in the trace that installed the extension, so a single
+// operation's trace names what it did; several share one "base.pushBatch"
+// span, which carries the first failure as its error.
 func (b *Base) applyToNode(ctx context.Context, n *adaptedNode, installs []Extension, revokes []string) (installErrs, revokeErrs map[string]error) {
 	installErrs = make(map[string]error, len(installs))
 	revokeErrs = make(map[string]error, len(revokes))
@@ -234,6 +235,18 @@ func (b *Base) applyToNode(ctx context.Context, n *adaptedNode, installs []Exten
 	}
 
 	m := b.metricsRef()
+	defer func() {
+		for _, err := range installErrs {
+			if err != nil {
+				m.pushErrors.Inc()
+			}
+		}
+		for _, err := range revokeErrs {
+			if err == nil {
+				m.revokes.Inc()
+			}
+		}
+	}()
 	tr := b.traceRef()
 	spanName, extName := "base.pushBatch", ""
 	switch {
@@ -305,7 +318,6 @@ func (b *Base) applyToNode(ctx context.Context, n *adaptedNode, installs []Exten
 			continue
 		}
 		installErrs[ext.Name] = nil
-		b.log("push", n.id, ext.Name, "")
 		g := grantInfo{
 			version:  ext.Version,
 			leaseID:  lease.ID(resp.Installs[i].LeaseID),
@@ -316,8 +328,11 @@ func (b *Base) applyToNode(ctx context.Context, n *adaptedNode, installs []Exten
 			// The node departed (or the base closed) while the push was in
 			// flight: there is no tracked node to keep alive, so no renewal
 			// is scheduled — the receiver's lease will lapse on its own.
-			b.log("push", n.id, ext.Name, "node gone mid-push; lease left to expire")
+			m.pushErrors.Inc()
+			sp.Annotatef("%s: node gone mid-push; lease left to expire", ext.Name)
+			continue
 		}
+		m.pushes.Inc()
 	}
 	for i, name := range revokes {
 		if i >= len(resp.Revokes) {

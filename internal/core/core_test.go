@@ -9,18 +9,33 @@ import (
 	"repro/internal/aop"
 	"repro/internal/clock"
 	"repro/internal/lvm"
+	"repro/internal/metrics"
 	"repro/internal/sandbox"
 	"repro/internal/sign"
 	"repro/internal/weave"
 )
 
-// testNode bundles a receiver with its weaver and a trusted signer.
+// testNode bundles a receiver with its weaver, its metrics and a trusted
+// signer.
 type testNode struct {
 	weaver   *weave.Weaver
 	receiver *Receiver
+	reg      *metrics.Registry
 	signer   *sign.Signer
 	clk      *clock.Manual
 	hostLog  *[]string
+}
+
+// lifecycle reads the receiver's lifecycle counters that are non-zero, keyed
+// by counter name.
+func (n *testNode) lifecycle() map[string]uint64 {
+	out := make(map[string]uint64)
+	for _, name := range []string{"ext.installs", "ext.replaces", "ext.refreshes", "ext.withdrawals", "ext.expiries", "ext.rejects", "ext.recovers"} {
+		if v := n.reg.CounterValue(name); v != 0 {
+			out[name] = v
+		}
+	}
+	return out
 }
 
 func newTestNode(t *testing.T) *testNode {
@@ -78,7 +93,9 @@ func newTestNode(t *testing.T) *testNode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &testNode{weaver: weaver, receiver: receiver, signer: signer, clk: clk, hostLog: &hostLog}
+	reg := metrics.New()
+	receiver.Instrument(reg)
+	return &testNode{weaver: weaver, receiver: receiver, reg: reg, signer: signer, clk: clk, hostLog: &hostLog}
 }
 
 func builtinExt(name string, version int) Extension {
@@ -139,9 +156,8 @@ func TestInstallRejectsUntrusted(t *testing.T) {
 	if n.receiver.Has("evil") {
 		t.Error("untrusted extension installed")
 	}
-	acts := n.receiver.Activity()
-	if len(acts) != 1 || acts[0].Event != "reject" {
-		t.Errorf("activity = %+v", acts)
+	if got := n.lifecycle(); len(got) != 1 || got["ext.rejects"] != 1 {
+		t.Errorf("lifecycle counters = %v, want only ext.rejects=1", got)
 	}
 }
 
@@ -166,6 +182,9 @@ func TestLeaseExpiryWithdraws(t *testing.T) {
 	if !n.receiver.Has("monitor") {
 		t.Fatal("not installed")
 	}
+	if got := n.lifecycle(); len(got) != 1 || got["ext.installs"] != 1 {
+		t.Errorf("after install: lifecycle counters = %v, want only ext.installs=1", got)
+	}
 	n.clk.Advance(11 * time.Second)
 	n.receiver.Grantor().ExpireNow()
 	if n.receiver.Has("monitor") {
@@ -174,13 +193,11 @@ func TestLeaseExpiryWithdraws(t *testing.T) {
 	if n.weaver.Has("monitor") {
 		t.Fatal("aspect survived lease expiry")
 	}
-	// Activity shows install then expire.
-	var events []string
-	for _, a := range n.receiver.Activity() {
-		events = append(events, a.Event)
+	if got := n.lifecycle(); len(got) != 2 || got["ext.installs"] != 1 || got["ext.expiries"] != 1 {
+		t.Errorf("after expiry: lifecycle counters = %v, want ext.installs=1 ext.expiries=1", got)
 	}
-	if strings.Join(events, ",") != "install,expire" {
-		t.Errorf("events = %v", events)
+	if got := n.reg.Snapshot().Gauges["ext.installed"]; got != 0 {
+		t.Errorf("ext.installed = %d after expiry, want 0", got)
 	}
 }
 

@@ -53,15 +53,6 @@ type ReceiverConfig struct {
 	Journal *ReceiverJournal
 }
 
-// Activity is one entry of the receiver's adaptation log.
-type Activity struct {
-	AtMillis int64
-	Event    string // "install", "replace", "refresh", "withdraw", "expire", "reject", "recover"
-	Ext      string
-	Base     string
-	Detail   string
-}
-
 // ExtensionInfo describes one installed extension.
 type ExtensionInfo struct {
 	ID       string
@@ -93,7 +84,6 @@ type Receiver struct {
 
 	mu        sync.Mutex
 	installed map[string]*installedExt // by extension Name
-	activity  []Activity
 	reg       *metrics.Registry
 	m         receiverMetrics
 	tracer    *trace.Tracer
@@ -108,8 +98,10 @@ type Receiver struct {
 	obsTailKept   uint64
 }
 
-// receiverMetrics counts adaptation lifecycle events, mirroring the activity
-// log; all fields are nil-safe no-ops until Instrument.
+// receiverMetrics counts adaptation lifecycle events where they happen; the
+// spans of the receiver's tracer (ext.install with its outcome tag,
+// ext.withdraw, ext.expire, ext.recover) say when and why. All fields are
+// nil-safe no-ops until Instrument.
 type receiverMetrics struct {
 	installs    *metrics.Counter
 	replaces    *metrics.Counter
@@ -192,6 +184,12 @@ func (r *Receiver) traceRef() *trace.Tracer {
 	return r.tracer
 }
 
+func (r *Receiver) metricsRef() receiverMetrics {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.m
+}
+
 // Install verifies, sandboxes and weaves a signed extension from baseAddr,
 // holding it under a lease of duration dur. Implicit extensions listed in
 // Requires are auto-installed from the builtin bundle registry first.
@@ -207,32 +205,25 @@ func (r *Receiver) InstallCtx(ctx context.Context, signed SignedExtension, baseA
 	ctx, sp := r.traceRef().StartSpan(ctx, "ext.install")
 	sp.Tag("ext", ext.Name)
 	sp.Tag("node", r.cfg.NodeName)
-	if err := signed.Verify(r.cfg.Trust); err != nil {
-		r.log("reject", ext.Name, baseAddr, err.Error())
-		sp.Tag("outcome", "reject")
-		sp.End(err)
-		return "", err
-	}
-	if err := ext.Validate(); err != nil {
-		r.log("reject", ext.Name, baseAddr, err.Error())
-		sp.Tag("outcome", "reject")
-		sp.End(err)
-		return "", err
-	}
-	// Resolve implicit extensions before the dependent one (§3.3: adding an
-	// extension that needs session information automatically adds the
-	// session-management extension).
-	for _, req := range ext.Requires {
-		if err := r.installImplicit(ctx, req, baseAddr); err != nil {
-			r.log("reject", ext.Name, baseAddr, err.Error())
-			sp.Tag("outcome", "reject")
-			sp.End(err)
-			return "", err
+	id, outcome, err := func() (lease.ID, string, error) {
+		if err := signed.Verify(r.cfg.Trust); err != nil {
+			return "", "", err
 		}
-	}
-	id, outcome, err := r.install(ctx, ext, signed.Sig.SignerName, baseAddr, dur, false, nil)
+		if err := ext.Validate(); err != nil {
+			return "", "", err
+		}
+		// Resolve implicit extensions before the dependent one (§3.3: adding
+		// an extension that needs session information automatically adds the
+		// session-management extension).
+		for _, req := range ext.Requires {
+			if err := r.installImplicit(ctx, req, baseAddr); err != nil {
+				return "", "", err
+			}
+		}
+		return r.install(ctx, ext, signed.Sig.SignerName, baseAddr, dur, false, nil)
+	}()
 	if err != nil {
-		r.log("reject", ext.Name, baseAddr, err.Error())
+		r.metricsRef().rejects.Inc()
 		sp.Tag("outcome", "reject")
 		sp.End(err)
 		return "", err
@@ -258,10 +249,7 @@ func (r *Receiver) journalExt(signed SignedExtension, baseAddr string, id lease.
 		DeadlineMillis: deadline.UnixMilli(),
 	})
 	if err != nil {
-		r.mu.Lock()
-		je := r.m.journalErrs
-		r.mu.Unlock()
-		je.Inc()
+		r.metricsRef().journalErrs.Inc()
 		r.traceRef().Eventf(nil, "recover", "journal ext %s: %v", signed.Ext.Name, err)
 	}
 }
@@ -308,7 +296,7 @@ func (r *Receiver) install(ctx context.Context, ext Extension, signer, baseAddr 
 	r.mu.Unlock()
 	if refreshID != "" {
 		if _, err := r.grantor.RenewCtx(ctx, refreshID, dur); err == nil {
-			r.log("refresh", ext.Name, baseAddr, fmt.Sprintf("version %d", ext.Version))
+			r.metricsRef().refreshes.Inc()
 			return refreshID, "refresh", nil
 		}
 		// The lease lapsed under us; fall through to the ordinary path.
@@ -386,7 +374,7 @@ func (r *Receiver) install(ctx context.Context, ext Extension, signer, baseAddr 
 	old, exists := r.installed[ext.Name]
 	r.mu.Unlock()
 
-	event := "install"
+	outcome := "install"
 	if exists {
 		if ext.Version <= old.ext.Version {
 			return "", "", fmt.Errorf("core: extension %q version %d already installed (have %d)",
@@ -396,7 +384,7 @@ func (r *Receiver) install(ctx context.Context, ext Extension, signer, baseAddr 
 			return "", "", err
 		}
 		_ = r.grantor.Cancel(old.leaseID)
-		event = "replace"
+		outcome = "replace"
 	} else {
 		if err := r.cfg.Weaver.InsertCtx(ctx, aspect); err != nil {
 			return "", "", err
@@ -421,12 +409,14 @@ func (r *Receiver) install(ctx context.Context, ext Extension, signer, baseAddr 
 	}
 	r.mu.Lock()
 	r.installed[ext.Name] = ie
-	r.mu.Unlock()
-	r.log(event, ext.Name, baseAddr, fmt.Sprintf("version %d, perms %s", ext.Version, gated.Perms()))
-	if ie.leaseID != "" {
-		return ie.leaseID, event, nil
+	r.m.installed.Set(int64(len(r.installed)))
+	if exists {
+		r.m.replaces.Inc()
+	} else {
+		r.m.installs.Inc()
 	}
-	return "", event, nil
+	r.mu.Unlock()
+	return ie.leaseID, outcome, nil
 }
 
 // Renew extends an installed extension's lease; bases call this periodically
@@ -444,10 +434,7 @@ func (r *Receiver) renewLease(ctx context.Context, id lease.ID, dur time.Duratio
 	}
 	if r.cfg.Journal != nil {
 		if err := r.cfg.Journal.UpdateDeadline(r.extNameByLease(id), l.Expiry.UnixMilli()); err != nil {
-			r.mu.Lock()
-			je := r.m.journalErrs
-			r.mu.Unlock()
-			je.Inc()
+			r.metricsRef().journalErrs.Inc()
 		}
 	}
 	return l, nil
@@ -484,7 +471,7 @@ func (r *Receiver) Recover() (int, error) {
 		// node must come up empty-handed and let the base's reconciliation
 		// re-push current extensions rather than refuse to start.
 		if err := r.recoverOne(rec); err != nil {
-			r.log("reject", rec.Signed.Ext.Name, rec.BaseAddr, "recover: "+err.Error())
+			r.metricsRef().rejects.Inc()
 			continue
 		}
 		restored++
@@ -524,7 +511,7 @@ func (r *Receiver) recoverOne(rec InstallRecord) error {
 		_ = r.cfg.Journal.DeleteExt(ext.Name)
 		return err
 	}
-	r.log("recover", ext.Name, rec.BaseAddr, fmt.Sprintf("version %d", ext.Version))
+	r.metricsRef().recovers.Inc()
 	return nil
 }
 
@@ -567,7 +554,7 @@ func (r *Receiver) WithdrawCtx(ctx context.Context, name string) error {
 	ctx, sp := r.traceRef().StartSpan(ctx, "ext.withdraw")
 	sp.Tag("ext", name)
 	sp.Tag("node", r.cfg.NodeName)
-	err := r.remove(ctx, name, "withdraw")
+	err := r.remove(ctx, name, false)
 	sp.End(err)
 	return err
 }
@@ -586,10 +573,13 @@ func (r *Receiver) expire(name string) {
 	ctx, sp := tr.StartSpan(trace.NewContext(context.Background(), sc), "ext.expire")
 	sp.Tag("ext", name)
 	sp.Tag("node", r.cfg.NodeName)
-	sp.End(r.remove(ctx, name, "expire"))
+	sp.End(r.remove(ctx, name, true))
 }
 
-func (r *Receiver) remove(ctx context.Context, name, event string) error {
+// remove withdraws an installed extension, counting it as an expiry when its
+// lease lapsed and as a withdrawal otherwise, then releases the implicit
+// extensions it required.
+func (r *Receiver) remove(ctx context.Context, name string, expired bool) error {
 	r.mu.Lock()
 	ie, ok := r.installed[name]
 	if !ok {
@@ -597,8 +587,9 @@ func (r *Receiver) remove(ctx context.Context, name, event string) error {
 		return fmt.Errorf("core: extension %q %w", name, ErrNotInstalled)
 	}
 	delete(r.installed, name)
+	r.m.installed.Set(int64(len(r.installed)))
+	m := r.m
 	requires := ie.ext.Requires
-	baseAddr := ie.baseAddr
 	leaseID := ie.leaseID
 	system := ie.system
 	r.mu.Unlock()
@@ -614,7 +605,11 @@ func (r *Receiver) remove(ctx context.Context, name, event string) error {
 	if err := r.cfg.Weaver.WithdrawCtx(ctx, name); err != nil {
 		return err
 	}
-	r.log(event, name, baseAddr, "")
+	if expired {
+		m.expiries.Inc()
+	} else {
+		m.withdrawals.Inc()
+	}
 
 	// Release implicit dependencies.
 	for _, req := range requires {
@@ -627,7 +622,7 @@ func (r *Receiver) remove(ctx context.Context, name, event string) error {
 		}
 		r.mu.Unlock()
 		if drop {
-			_ = r.remove(ctx, req, "withdraw")
+			_ = r.remove(ctx, req, false)
 		}
 	}
 	return nil
@@ -657,44 +652,6 @@ func (r *Receiver) Has(name string) bool {
 	defer r.mu.Unlock()
 	_, ok := r.installed[name]
 	return ok
-}
-
-// Activity returns the adaptation log.
-func (r *Receiver) Activity() []Activity {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Activity, len(r.activity))
-	copy(out, r.activity)
-	return out
-}
-
-func (r *Receiver) log(event, ext, base, detail string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.activity = append(r.activity, Activity{
-		AtMillis: r.cfg.Clock.Now().UnixMilli(),
-		Event:    event,
-		Ext:      ext,
-		Base:     base,
-		Detail:   detail,
-	})
-	switch event {
-	case "install":
-		r.m.installs.Inc()
-	case "replace":
-		r.m.replaces.Inc()
-	case "refresh":
-		r.m.refreshes.Inc()
-	case "withdraw":
-		r.m.withdrawals.Inc()
-	case "expire":
-		r.m.expiries.Inc()
-	case "reject":
-		r.m.rejects.Inc()
-	case "recover":
-		r.m.recovers.Inc()
-	}
-	r.m.installed.Set(int64(len(r.installed)))
 }
 
 // ShutdownBody is implemented by advice bodies that need a shutdown

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sort"
@@ -178,15 +179,22 @@ func (b *Base) reconcileNode(ctx context.Context, addr string) ReconcileResult {
 		}
 		n = newAdaptedNode(nodeID, addr)
 		s.mu.Lock()
-		if cur, dup := s.adapted[addr]; dup {
+		cur, dup := s.adapted[addr]
+		_, parked := s.degraded[addr]
+		if dup {
 			n = cur
 		} else {
 			delete(s.degraded, addr)
 			s.adapted[addr] = n
 		}
 		s.mu.Unlock()
+		if m := b.metricsRef(); !dup {
+			m.adapted.Add(1)
+			if parked {
+				m.degraded.Add(-1)
+			}
+		}
 		res.Promoted = true
-		b.log("reconcile", nodeID, "", "node reachable again; promoted from degraded")
 	}
 
 	// Index what the node holds from this base.
@@ -253,28 +261,21 @@ func (b *Base) reconcileNode(ctx context.Context, addr string) ReconcileResult {
 	}
 
 	// The whole repair — missing re-pushes and orphan revokes — rides one
-	// batched apply when the peer supports it.
+	// batched apply.
 	installErrs, revokeErrs := b.applyToNode(rctx, n, missing, orphans)
 	for _, ext := range missing {
 		if err := installErrs[ext.Name]; err != nil {
-			if res.Err == "" {
-				res.Err = err.Error()
-			}
-			b.log("push", n.id, ext.Name, "failed: "+err.Error())
+			res.Err = cmp.Or(res.Err, err.Error())
 			continue
 		}
 		res.Repushed = append(res.Repushed, ext.Name)
 	}
 	for _, name := range orphans {
 		if err := revokeErrs[name]; err != nil {
-			if res.Err == "" {
-				res.Err = err.Error()
-			}
-			b.log("revoke", n.id, name, "failed: "+err.Error())
+			res.Err = cmp.Or(res.Err, err.Error())
 			continue
 		}
 		res.Revoked = append(res.Revoked, name)
-		b.log("revoke", n.id, name, "orphan cleaned by reconciliation")
 	}
 
 	res.InSync = res.Err == "" && len(res.Repushed) == 0 && len(res.Revoked) == 0 &&

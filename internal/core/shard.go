@@ -103,20 +103,19 @@ func (t *nodeTable) get(addr string) *adaptedNode {
 	return s.adapted[addr]
 }
 
-// clear empties every shard and returns the nodes that were adapted.
-func (t *nodeTable) clear() []*adaptedNode {
-	var out []*adaptedNode
+// clear empties every shard and returns how many nodes were adapted and
+// degraded.
+func (t *nodeTable) clear() (adapted, degraded int) {
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
-		for _, n := range s.adapted {
-			out = append(out, n)
-		}
+		adapted += len(s.adapted)
+		degraded += len(s.degraded)
 		s.adapted = make(map[string]*adaptedNode)
 		s.degraded = make(map[string]string)
 		s.mu.Unlock()
 	}
-	return out
+	return adapted, degraded
 }
 
 // perShardTargets groups adapted+degraded addresses by shard, each group

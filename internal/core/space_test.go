@@ -29,14 +29,8 @@ func TestSpaceDistribution(t *testing.T) {
 
 	// Repeated scans renew rather than reinstall.
 	listener.Scan(30 * time.Second)
-	events := 0
-	for _, a := range n.receiver.Activity() {
-		if a.Event == "install" {
-			events++
-		}
-	}
-	if events != 1 {
-		t.Errorf("install events = %d, want 1", events)
+	if got := n.lifecycle(); len(got) != 1 || got["ext.installs"] != 1 {
+		t.Errorf("lifecycle counters = %v, want only ext.installs=1", got)
 	}
 }
 

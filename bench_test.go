@@ -8,6 +8,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -362,7 +363,7 @@ func benchDistribution(b *testing.B, n int, useTCP bool) {
 			b.Fatal(err)
 		}
 		for _, nd := range nodes {
-			if err := base.AdaptNode(nd.addr, nd.addr); err != nil {
+			if err := base.AdaptNode(context.Background(), nd.addr, nd.addr); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -575,7 +576,7 @@ func BenchmarkE8AdhocConvergence(b *testing.B) {
 						if j == k {
 							continue
 						}
-						if err := peers[j].base.AdaptNode(peers[k].addr, peers[k].addr); err != nil {
+						if err := peers[j].base.AdaptNode(context.Background(), peers[k].addr, peers[k].addr); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -864,7 +865,7 @@ func BenchmarkAblationRenewInterval(b *testing.B) {
 				}); err != nil {
 					b.Fatal(err)
 				}
-				if err := base.AdaptNode("n", "node"); err != nil {
+				if err := base.AdaptNode(context.Background(), "n", "node"); err != nil {
 					b.Fatal(err)
 				}
 				// Let a few renewal rounds pass, then yank the node away by

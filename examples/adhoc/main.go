@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -73,7 +74,7 @@ func run() error {
 			if a.Name == me.name {
 				return
 			}
-			_ = me.base.AdaptNode(a.Name, a.LookupAddr)
+			_ = me.base.AdaptNode(context.Background(), a.Name, a.LookupAddr)
 		}, func(a discovery.Announcement) bool {
 			return world.Linked(me.name, a.LookupAddr)
 		})

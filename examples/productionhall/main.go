@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -140,7 +141,7 @@ func run() error {
 	callArm("intruder", 15)
 
 	fmt.Println("2. robot enters the hall; base pushes access control (+ implicit session) and QA logging")
-	if err := base.AdaptNode("robot-R", "robot-R"); err != nil {
+	if err := base.AdaptNode(context.Background(), "robot-R", "robot-R"); err != nil {
 		return err
 	}
 	fmt.Printf("   installed: %v\n", names(receiver))

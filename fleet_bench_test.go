@@ -104,7 +104,7 @@ func newBenchFleet(b *testing.B, nNodes int, observed bool) *benchFleet {
 func (f *benchFleet) adaptAll(b *testing.B) {
 	b.Helper()
 	for _, name := range f.names {
-		if err := f.base.AdaptNode(name, name); err != nil {
+		if err := f.base.AdaptNode(context.Background(), name, name); err != nil {
 			b.Fatalf("adapt %s: %v", name, err)
 		}
 	}

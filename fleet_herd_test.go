@@ -130,7 +130,7 @@ func runFleetHerd(t *testing.T, seed int64, nNodes int) herdRun {
 	// t=0: the whole fleet adapts together, so every lease's renewal lands in
 	// the same future wheel tick — the herd is armed.
 	for _, name := range names {
-		if err := base.AdaptNode(name, name); err != nil {
+		if err := base.AdaptNode(context.Background(), name, name); err != nil {
 			t.Fatalf("adapt %s: %v", name, err)
 		}
 	}

@@ -339,7 +339,7 @@ func runFleet(t *testing.T, seed int64, nNodes int, withFaults bool) fleetRun {
 
 	// t=0: the whole fleet walks into the cell.
 	for _, name := range names {
-		if err := base.AdaptNode(name, name); err != nil {
+		if err := base.AdaptNode(context.Background(), name, name); err != nil {
 			t.Fatalf("adapt %s: %v", name, err)
 		}
 	}
@@ -377,7 +377,7 @@ func runFleet(t *testing.T, seed int64, nNodes int, withFaults bool) fleetRun {
 		}
 		for _, name := range faults.roamed {
 			base.Release(name)
-			if err := base.AdaptNode(name, name); err != nil {
+			if err := base.AdaptNode(context.Background(), name, name); err != nil {
 				t.Fatalf("re-adapt roamer %s: %v", name, err)
 			}
 		}
@@ -572,7 +572,7 @@ func runObsFleet(t *testing.T, seed int64, nNodes int) obsFleetRun {
 		}
 	}
 	for _, name := range names {
-		if err := base.AdaptNode(name, name); err != nil {
+		if err := base.AdaptNode(context.Background(), name, name); err != nil {
 			t.Fatalf("adapt %s: %v", name, err)
 		}
 	}

@@ -4,6 +4,7 @@
 package repro
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -135,7 +136,7 @@ func TestRemoteReplicationScenario(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := base.AdaptNode("plotter-A", "plotter-A"); err != nil {
+	if err := base.AdaptNode(context.Background(), "plotter-A", "plotter-A"); err != nil {
 		t.Fatal(err)
 	}
 	if !original.receiver.Has("replicate") {
@@ -197,7 +198,7 @@ end`,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := base.AdaptNode("plotter-A", "plotter-A"); err != nil {
+	if err := base.AdaptNode(context.Background(), "plotter-A", "plotter-A"); err != nil {
 		t.Fatal(err)
 	}
 	if !node.receiver.Has("mobile-limit") {
@@ -243,7 +244,7 @@ func TestAccountingScenario(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := base.AdaptNode("plotter-A", "plotter-A"); err != nil {
+	if err := base.AdaptNode(context.Background(), "plotter-A", "plotter-A"); err != nil {
 		t.Fatal(err)
 	}
 	if !node.receiver.Has(ext.SessionBundleName) {
@@ -293,7 +294,7 @@ func TestPersistenceScenario(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := base.AdaptNode("plotter-A", "plotter-A"); err != nil {
+	if err := base.AdaptNode(context.Background(), "plotter-A", "plotter-A"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -356,7 +357,7 @@ func TestTransparentEncryptionChannel(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := base.AdaptNode("sender", "sender"); err != nil {
+	if err := base.AdaptNode(context.Background(), "sender", "sender"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -373,7 +374,7 @@ func TestTransparentEncryptionChannel(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := base.AdaptNode("courier", "courier"); err != nil {
+	if err := base.AdaptNode(context.Background(), "courier", "courier"); err != nil {
 		t.Fatal(err)
 	}
 	// The sender must not get the decryptor: RemoveExtension above revoked

@@ -618,15 +618,10 @@ func (b *Base) Extensions() []string {
 }
 
 // AdaptNode pushes every extension of the policy set to the node's
-// adaptation service and starts keeping the leases alive.
-func (b *Base) AdaptNode(nodeID, nodeAddr string) error {
-	return b.AdaptNodeCtx(context.Background(), nodeID, nodeAddr)
-}
-
-// AdaptNodeCtx is AdaptNode joining the trace carried by ctx (e.g. the
-// discovery announcement that surfaced the node); without one it roots a new
-// trace.
-func (b *Base) AdaptNodeCtx(ctx context.Context, nodeID, nodeAddr string) error {
+// adaptation service and starts keeping the leases alive. It joins the trace
+// carried by ctx (e.g. the discovery announcement that surfaced the node);
+// without one it roots a new trace.
+func (b *Base) AdaptNode(ctx context.Context, nodeID, nodeAddr string) error {
 	if b.closed.Load() {
 		return fmt.Errorf("core: base %s is closed", b.cfg.Name)
 	}
@@ -1041,13 +1036,13 @@ func (b *Base) ServeOn(mux *transport.Mux) {
 			if _, ok := trace.FromContext(actx); !ok {
 				actx = trace.NewContext(actx, ev.Trace)
 			}
-			go func() { _ = b.AdaptNodeCtx(actx, ev.Item.ID, ev.Item.Addr) }()
+			go func() { _ = b.AdaptNode(actx, ev.Item.ID, ev.Item.Addr) }()
 		}
 		return EmptyResp{}, nil
 	})
 	transport.Register(mux, MethodBaseRoam, func(ctx context.Context, req RoamReq) (EmptyResp, error) {
 		actx := trace.Detach(ctx)
-		go func() { _ = b.AdaptNodeCtx(actx, req.NodeID, req.NodeAddr) }()
+		go func() { _ = b.AdaptNode(actx, req.NodeID, req.NodeAddr) }()
 		return EmptyResp{}, nil
 	})
 	transport.Register(mux, MethodBaseStatus, func(_ context.Context, _ EmptyResp) (BaseStatusResp, error) {
@@ -1082,8 +1077,7 @@ func (b *Base) WatchLookup(client *registry.Client, watchDur time.Duration) (str
 				return lease.Lease{}, err
 			}
 			return lease.Lease{ID: id, Duration: d}, nil
-		},
-		0.5, nil)
+		}, nil)
 	b.mu.Lock()
 	if b.closed.Load() {
 		b.mu.Unlock()
@@ -1099,7 +1093,7 @@ func (b *Base) WatchLookup(client *registry.Client, watchDur time.Duration) (str
 		return watchID, fmt.Errorf("core: initial find: %w", err)
 	}
 	for _, it := range items {
-		go func(it registry.ServiceItem) { _ = b.AdaptNode(it.ID, it.Addr) }(it)
+		go func(it registry.ServiceItem) { _ = b.AdaptNode(context.TODO(), it.ID, it.Addr) }(it)
 	}
 	return watchID, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/store"
 	"repro/internal/testutil"
+	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/weave"
 )
@@ -207,6 +209,33 @@ func TestWatchLookupKeepsWatchAlive(t *testing.T) {
 	waitUntil(t, "late arrival adapted", func() bool { return c.receiver.Has("policy") })
 }
 
+// A node whose lookup forgets its registration must find the loss in its own
+// event ring, as the base does for its watch.
+func TestAdvertiseRenewalFailureReachesEventRing(t *testing.T) {
+	c := newCluster(t, time.Minute)
+	defer c.close()
+	tr := trace.New(1)
+	c.receiver.Trace(tr)
+
+	client := &registry.Client{Caller: c.fabric.Node("robot1"), Addr: "lookup-1"}
+	stopAdv, err := c.receiver.Advertise(client, 40*time.Millisecond, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopAdv()
+	if err := c.lookup.Deregister("robot1"); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "renewal failure event", func() bool {
+		for _, ev := range tr.Events(trace.EventFilter{Component: "lease"}) {
+			if strings.HasPrefix(ev.Msg, "renewal of ") && strings.Contains(ev.Msg, " failed for good: ") {
+				return true
+			}
+		}
+		return false
+	})
+}
+
 func TestNodeDepartureRevokesExtensions(t *testing.T) {
 	c := newCluster(t, 100*time.Millisecond)
 	defer c.close()
@@ -217,7 +246,7 @@ func TestNodeDepartureRevokesExtensions(t *testing.T) {
 	if err := c.base.AddExtension(noopExt("policy", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.base.AdaptNode("robot1", "robot1"); err != nil {
+	if err := c.base.AdaptNode(context.Background(), "robot1", "robot1"); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, "install", func() bool { return c.receiver.Has("policy") })
@@ -251,7 +280,7 @@ func TestPolicyEvolutionPushesReplacement(t *testing.T) {
 	if err := c.base.AddExtension(noopExt("policy", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.base.AdaptNode("robot1", "robot1"); err != nil {
+	if err := c.base.AdaptNode(context.Background(), "robot1", "robot1"); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, "v1 install", func() bool { return c.receiver.Has("policy") })
@@ -281,7 +310,7 @@ func TestRemoveExtensionRevokesRemotely(t *testing.T) {
 	if err := c.base.AddExtension(noopExt("policy", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.base.AdaptNode("robot1", "robot1"); err != nil {
+	if err := c.base.AdaptNode(context.Background(), "robot1", "robot1"); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, "install", func() bool { return c.receiver.Has("policy") })
@@ -299,7 +328,7 @@ func TestAddExtensionPushesToAdaptedNodes(t *testing.T) {
 	c := newCluster(t, 200*time.Millisecond)
 	defer c.close()
 
-	if err := c.base.AdaptNode("robot1", "robot1"); err != nil {
+	if err := c.base.AdaptNode(context.Background(), "robot1", "robot1"); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.base.AddExtension(noopExt("late", 1)); err != nil {
@@ -369,7 +398,7 @@ func TestRoamingHandoff(t *testing.T) {
 	if err := c.base.AddExtension(noopExt("hall1-policy", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.base.AdaptNode("robot1", "robot1"); err != nil {
+	if err := c.base.AdaptNode(context.Background(), "robot1", "robot1"); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, "hall-1 adaptation", func() bool { return c.receiver.Has("hall1-policy") })
@@ -409,7 +438,7 @@ func TestLossyLinkSurvivesWithRetries(t *testing.T) {
 		if err := base2.AddExtension(noopExt("policy", 1)); err != nil {
 			t.Fatal(err)
 		}
-		if err := base2.AdaptNode("robot1", "robot1"); err != nil {
+		if err := base2.AdaptNode(context.Background(), "robot1", "robot1"); err != nil {
 			t.Fatal(err)
 		}
 		waitUntil(t, "install", func() bool { return c.receiver.Has("policy") })
@@ -493,7 +522,7 @@ func TestAdaptNodeRetriesThroughTransientPartition(t *testing.T) {
 
 	down.Store(true)
 	adapted := make(chan error, 1)
-	go func() { adapted <- base.AdaptNode("robot1", "robot1") }()
+	go func() { adapted <- base.AdaptNode(context.Background(), "robot1", "robot1") }()
 	time.Sleep(30 * time.Millisecond) // let a few attempts fail
 	down.Store(false)
 

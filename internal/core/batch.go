@@ -102,7 +102,7 @@ func (r *Receiver) serveBatch(mux *transport.Mux) {
 			resp.Installs[i].LeaseID = string(id)
 		}
 		for i, name := range req.Revokes {
-			if err := r.WithdrawCtx(ctx, name); err != nil && !errors.Is(err, ErrNotInstalled) {
+			if err := r.Withdraw(ctx, name); err != nil && !errors.Is(err, ErrNotInstalled) {
 				resp.Revokes[i].Err = err.Error()
 			}
 		}

@@ -162,7 +162,7 @@ func TestRenewalStormCoalesces(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := b.AdaptNode("robot1", "robot1"); err != nil {
+	if err := b.AdaptNode(context.Background(), "robot1", "robot1"); err != nil {
 		t.Fatal(err)
 	}
 	if got := b.ScheduledRenewals(); got != nExts {
@@ -211,7 +211,7 @@ func TestRenewalStormCrashParksNodeWithoutStallingOthers(t *testing.T) {
 		}
 	}
 	for _, node := range []string{"robot-a", "robot-b"} {
-		if err := b.AdaptNode(node, node); err != nil {
+		if err := b.AdaptNode(context.Background(), node, node); err != nil {
 			t.Fatal(err)
 		}
 	}

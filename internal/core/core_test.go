@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -278,7 +279,7 @@ func TestImplicitExtensionAutoInstalled(t *testing.T) {
 		}
 	}
 	// Withdrawing the dependent removes the implicit one too.
-	if err := n.receiver.Withdraw("needsbundle"); err != nil {
+	if err := n.receiver.Withdraw(context.Background(), "needsbundle"); err != nil {
 		t.Fatal(err)
 	}
 	if n.receiver.Has("base-bundle") {
@@ -300,13 +301,13 @@ func TestImplicitSharedByDependents(t *testing.T) {
 	if _, err := n.receiver.Install(s2, "base-1", time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.receiver.Withdraw("dep1"); err != nil {
+	if err := n.receiver.Withdraw(context.Background(), "dep1"); err != nil {
 		t.Fatal(err)
 	}
 	if !n.receiver.Has("base-bundle") {
 		t.Fatal("implicit extension removed while dep2 still needs it")
 	}
-	if err := n.receiver.Withdraw("dep2"); err != nil {
+	if err := n.receiver.Withdraw(context.Background(), "dep2"); err != nil {
 		t.Fatal(err)
 	}
 	if n.receiver.Has("base-bundle") {
@@ -487,7 +488,7 @@ func TestShutdownBodyRuns(t *testing.T) {
 	if _, err := n.receiver.Install(signed, "base-1", time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.receiver.Withdraw("s"); err != nil {
+	if err := n.receiver.Withdraw(context.Background(), "s"); err != nil {
 		t.Fatal(err)
 	}
 	if !shut {

@@ -122,7 +122,7 @@ func TestFleetRollupMatchesNodeTotals(t *testing.T) {
 		}
 	}
 	for i := 0; i < nodes; i++ {
-		if err := b.AdaptNode(fmt.Sprintf("robot-%d", i), fmt.Sprintf("robot-%d", i)); err != nil {
+		if err := b.AdaptNode(context.Background(), fmt.Sprintf("robot-%d", i), fmt.Sprintf("robot-%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,7 +167,7 @@ func TestFleetRollupMatchesNodeTotals(t *testing.T) {
 	if err := b2.AddExtension(noopExt("ext-0", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b2.AdaptNode("robot-x", "robot-x"); err != nil {
+	if err := b2.AdaptNode(context.Background(), "robot-x", "robot-x"); err != nil {
 		t.Fatal(err)
 	}
 	for elapsed := time.Duration(0); elapsed < 30*time.Second; elapsed += 10 * time.Second {

@@ -23,7 +23,7 @@ func TestNoGoroutineLeaksOnTeardown(t *testing.T) {
 		if err := c.base.AddExtension(noopExt("policy", 1)); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.base.AdaptNode("robot1", "robot1"); err != nil {
+		if err := c.base.AdaptNode(context.Background(), "robot1", "robot1"); err != nil {
 			t.Fatal(err)
 		}
 		waitUntil(t, "install", func() bool { return c.receiver.Has("policy") })
@@ -118,7 +118,7 @@ func TestNoRenewerLeakWhenNodeDepartsMidPush(t *testing.T) {
 			}
 
 			adaptDone := make(chan error, 1)
-			go func() { adaptDone <- b.AdaptNode("robot1", "robot1") }()
+			go func() { adaptDone <- b.AdaptNode(context.Background(), "robot1", "robot1") }()
 			<-caller.installing // push is in flight, parked in the caller
 			tc.cut(b)           // node departs / base closes mid-push
 			close(caller.release)
@@ -206,7 +206,7 @@ func TestNoScheduleLeakWhenNodeDepartsMidBatchedPush(t *testing.T) {
 			}
 
 			adaptDone := make(chan error, 1)
-			go func() { adaptDone <- b.AdaptNode("robot1", "robot1") }()
+			go func() { adaptDone <- b.AdaptNode(context.Background(), "robot1", "robot1") }()
 			<-caller.installing // the applyBatch is in flight, parked
 			tc.cut(b)           // node departs / base closes mid-batch
 			close(caller.release)

@@ -61,7 +61,7 @@ func TestFailedRevokesAreNotCounted(t *testing.T) {
 	if err := b.AddExtension(noopExt("policy", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AdaptNode("robot1", "robot1"); err != nil {
+	if err := b.AdaptNode(context.Background(), "robot1", "robot1"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -131,7 +131,7 @@ func TestPushToDepartedNodeCountsOneError(t *testing.T) {
 	}
 
 	adaptDone := make(chan error, 1)
-	go func() { adaptDone <- b.AdaptNode("robot1", "robot1") }()
+	go func() { adaptDone <- b.AdaptNode(context.Background(), "robot1", "robot1") }()
 	<-caller.installing
 	b.Release("robot1") // the node departs while its push is in flight
 	close(caller.release)
@@ -155,7 +155,7 @@ func TestFailedRoamHintsAreNotCounted(t *testing.T) {
 	b, reg, tr := newCountingBase(t, c, c.fabric.Node("base-1"))
 	b.AddNeighbor("base-1")  // served: the cluster's own base
 	b.AddNeighbor("nowhere") // nobody serves this address
-	if err := b.AdaptNode("robot1", "robot1"); err != nil {
+	if err := b.AdaptNode(context.Background(), "robot1", "robot1"); err != nil {
 		t.Fatal(err)
 	}
 

@@ -163,8 +163,9 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 func (r *Receiver) Grantor() *lease.Grantor { return r.grantor }
 
 // Trace records the receiver's lifecycle (install, refresh, withdraw,
-// expire) as spans in tr and threads the tracer into the weaver and grantor,
-// so a pushed extension's whole journey on this node reads as one trace.
+// expire) and the weaver operations it makes as spans in tr, and threads the
+// tracer into the grantor, so a pushed extension's whole journey on this node
+// reads as one trace.
 // ServeOn additionally gains a midas.trace method exposing tr's spans and
 // events over the fabric. Call before serving; a nil tr is a no-op.
 func (r *Receiver) Trace(tr *trace.Tracer) {
@@ -174,7 +175,6 @@ func (r *Receiver) Trace(tr *trace.Tracer) {
 	r.mu.Lock()
 	r.tracer = tr
 	r.mu.Unlock()
-	r.cfg.Weaver.Trace(tr)
 	r.grantor.Trace(tr)
 }
 
@@ -295,7 +295,7 @@ func (r *Receiver) install(ctx context.Context, ext Extension, signer, baseAddr 
 	}
 	r.mu.Unlock()
 	if refreshID != "" {
-		if _, err := r.grantor.RenewCtx(ctx, refreshID, dur); err == nil {
+		if _, err := r.grantor.Renew(ctx, refreshID, dur); err == nil {
 			r.metricsRef().refreshes.Inc()
 			return refreshID, "refresh", nil
 		}
@@ -380,13 +380,13 @@ func (r *Receiver) install(ctx context.Context, ext Extension, signer, baseAddr 
 			return "", "", fmt.Errorf("core: extension %q version %d already installed (have %d)",
 				ext.Name, ext.Version, old.ext.Version)
 		}
-		if err := r.cfg.Weaver.ReplaceCtx(ctx, ext.Name, aspect); err != nil {
+		if err := r.weaveOp(ctx, "weave.replace", ext.Name, func() error { return r.cfg.Weaver.Replace(ext.Name, aspect) }); err != nil {
 			return "", "", err
 		}
 		_ = r.grantor.Cancel(old.leaseID)
 		outcome = "replace"
 	} else {
-		if err := r.cfg.Weaver.InsertCtx(ctx, aspect); err != nil {
+		if err := r.weaveOp(ctx, "weave.insert", ext.Name, func() error { return r.cfg.Weaver.Insert(aspect) }); err != nil {
 			return "", "", err
 		}
 	}
@@ -403,7 +403,7 @@ func (r *Receiver) install(ctx context.Context, ext Extension, signer, baseAddr 
 				time.Duration(restore.DurMillis)*time.Millisecond, func(lease.ID) { r.expire(name) })
 			ie.leaseID = l.ID
 		} else {
-			l := r.grantor.GrantCtx(ctx, dur, func(lease.ID) { r.expire(name) })
+			l := r.grantor.Grant(ctx, dur, func(lease.ID) { r.expire(name) })
 			ie.leaseID = l.ID
 		}
 	}
@@ -428,7 +428,7 @@ func (r *Receiver) Renew(id lease.ID, dur time.Duration) error {
 
 // renewLease extends a lease and checkpoints the new deadline.
 func (r *Receiver) renewLease(ctx context.Context, id lease.ID, dur time.Duration) (lease.Lease, error) {
-	l, err := r.grantor.RenewCtx(ctx, id, dur)
+	l, err := r.grantor.Renew(ctx, id, dur)
 	if err != nil {
 		return l, err
 	}
@@ -543,14 +543,9 @@ func (r *Receiver) Inventory() []InventoryItem {
 }
 
 // Withdraw removes the named extension immediately (explicit revocation by
-// the base, or local policy), running its shutdown procedure.
-func (r *Receiver) Withdraw(name string) error {
-	return r.WithdrawCtx(context.Background(), name)
-}
-
-// WithdrawCtx is Withdraw joining the trace carried by ctx (normally the
-// base's revoke RPC).
-func (r *Receiver) WithdrawCtx(ctx context.Context, name string) error {
+// the base, or local policy), running its shutdown procedure. It joins the
+// trace carried by ctx (normally the base's revoke RPC).
+func (r *Receiver) Withdraw(ctx context.Context, name string) error {
 	ctx, sp := r.traceRef().StartSpan(ctx, "ext.withdraw")
 	sp.Tag("ext", name)
 	sp.Tag("node", r.cfg.NodeName)
@@ -574,6 +569,17 @@ func (r *Receiver) expire(name string) {
 	sp.Tag("ext", name)
 	sp.Tag("node", r.cfg.NodeName)
 	sp.End(r.remove(ctx, name, true))
+}
+
+// weaveOp runs one weaver operation on aspect under a span named op in the
+// trace carried by ctx. The weaver itself is never traced, so its dispatch
+// path stays free of tracing.
+func (r *Receiver) weaveOp(ctx context.Context, op, aspect string, f func() error) error {
+	_, sp := r.traceRef().StartSpan(ctx, op)
+	sp.Tag("aspect", aspect)
+	err := f()
+	sp.End(err)
+	return err
 }
 
 // remove withdraws an installed extension, counting it as an expiry when its
@@ -602,7 +608,7 @@ func (r *Receiver) remove(ctx context.Context, name string, expired bool) error 
 	if leaseID != "" {
 		_ = r.grantor.Cancel(leaseID)
 	}
-	if err := r.cfg.Weaver.WithdrawCtx(ctx, name); err != nil {
+	if err := r.weaveOp(ctx, "weave.withdraw", name, func() error { return r.cfg.Weaver.Withdraw(name) }); err != nil {
 		return err
 	}
 	if expired {
@@ -676,7 +682,7 @@ func (r *Receiver) Advertise(client *registry.Client, dur time.Duration, attrs m
 	// inside it, and the pushes/weaves/renewals that follow join it.
 	ctx, sp := r.traceRef().StartSpan(context.Background(), "discovery.advertise")
 	sp.Tag("node", r.cfg.NodeName)
-	leaseID, err := client.RegisterCtx(ctx, item, dur)
+	leaseID, err := client.Register(ctx, item, dur)
 	sp.End(err)
 	if err != nil {
 		return nil, fmt.Errorf("core: advertise: %w", err)
@@ -688,12 +694,12 @@ func (r *Receiver) Advertise(client *registry.Client, dur time.Duration, attrs m
 				return lease.Lease{}, err
 			}
 			return lease.Lease{ID: id, Duration: d}, nil
-		},
-		0.5, nil)
+		}, nil)
 	r.mu.Lock()
-	reg := r.reg
+	reg, tr := r.reg, r.tracer
 	r.mu.Unlock()
 	renewer.Instrument(reg)
+	renewer.Trace(tr)
 	renewer.Start()
 	return func() {
 		renewer.Stop()

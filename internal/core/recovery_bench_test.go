@@ -146,7 +146,7 @@ func BenchmarkReconcileRound(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	if err := base.AdaptNode("robot1", "robot1"); err != nil {
+	if err := base.AdaptNode(context.Background(), "robot1", "robot1"); err != nil {
 		b.Fatal(err)
 	}
 

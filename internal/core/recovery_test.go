@@ -251,7 +251,7 @@ func TestBaseRecoverResumesRenewals(t *testing.T) {
 	if err := b1.AddExtension(recoveryExt("policy", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b1.AdaptNode("robot1", "robot1"); err != nil {
+	if err := b1.AdaptNode(context.Background(), "robot1", "robot1"); err != nil {
 		t.Fatal(err)
 	}
 	if !recv.Has("policy") {
@@ -312,7 +312,7 @@ func TestReconcileRepairsDrift(t *testing.T) {
 	if err := b.AddExtension(recoveryExt("policy", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AdaptNode("robot1", "robot1"); err != nil {
+	if err := b.AdaptNode(context.Background(), "robot1", "robot1"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -325,7 +325,7 @@ func TestReconcileRepairsDrift(t *testing.T) {
 	if _, err := recv.Install(staleSigned, "base-1", time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if err := recv.Withdraw("policy"); err != nil {
+	if err := recv.Withdraw(context.Background(), "policy"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -383,7 +383,7 @@ func TestDegradedNodeReconciledNotRepushed(t *testing.T) {
 	if err := b.AddExtension(recoveryExt("policy", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AdaptNode("robot1", "robot1"); err != nil {
+	if err := b.AdaptNode(context.Background(), "robot1", "robot1"); err != nil {
 		t.Fatal(err)
 	}
 

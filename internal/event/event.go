@@ -1,8 +1,7 @@
 // Package event implements Jini-style remote events: leased listener
 // registrations receiving sequenced, asynchronously delivered notifications.
 // The lookup service uses it to tell extension bases about newly arrived
-// adaptation services; the monitoring extensions use it to stream state
-// changes to base stations.
+// adaptation services.
 package event
 
 import (
@@ -104,7 +103,7 @@ func (d *Dispatcher) Subscribe(addr, method string, dur time.Duration) (string, 
 	d.subs[id] = s
 	d.mu.Unlock()
 
-	l := d.grantor.Grant(dur, func(lease.ID) { d.remove(id) })
+	l := d.grantor.Grant(context.TODO(), dur, func(lease.ID) { d.remove(id) })
 	d.mu.Lock()
 	s.leaseID = l.ID
 	d.mu.Unlock()
@@ -121,7 +120,7 @@ func (d *Dispatcher) Renew(id string, dur time.Duration) (lease.Lease, error) {
 	if !ok {
 		return lease.Lease{}, lease.ErrUnknownLease
 	}
-	return d.grantor.Renew(s.leaseID, dur)
+	return d.grantor.Renew(context.TODO(), s.leaseID, dur)
 }
 
 // Cancel removes a subscription.
@@ -135,49 +134,11 @@ func (d *Dispatcher) Cancel(id string) {
 	}
 }
 
-// Subscribers returns the ids of live subscriptions.
-func (d *Dispatcher) Subscribers() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]string, 0, len(d.subs))
-	for id := range d.subs {
-		out = append(out, id)
-	}
-	return out
-}
-
-// Publish encodes v with its wire codec and enqueues a notification of the
-// given kind to every subscriber. Returns the number of subscribers
-// targeted.
-func (d *Dispatcher) Publish(kind string, v wire.Marshaler) (int, error) {
-	return d.PublishCtx(context.Background(), kind, v)
-}
-
-// PublishCtx is Publish carrying the span context from ctx (if any) in the
-// notification envelope, so asynchronous delivery still joins the publishing
-// operation's trace.
-func (d *Dispatcher) PublishCtx(ctx context.Context, kind string, v wire.Marshaler) (int, error) {
-	body := wire.Marshal(v)
-	sc, _ := trace.FromContext(ctx)
-	d.mu.Lock()
-	targets := make([]*subscriber, 0, len(d.subs))
-	for _, s := range d.subs {
-		targets = append(targets, s)
-	}
-	d.mu.Unlock()
-	for _, s := range targets {
-		d.enqueue(s, kind, body, sc)
-	}
-	return len(targets), nil
-}
-
-// PublishTo notifies a single subscription.
-func (d *Dispatcher) PublishTo(id, kind string, v wire.Marshaler) error {
-	return d.PublishToCtx(context.Background(), id, kind, v)
-}
-
-// PublishToCtx is PublishTo carrying the span context from ctx (if any).
-func (d *Dispatcher) PublishToCtx(ctx context.Context, id, kind string, v wire.Marshaler) error {
+// PublishTo encodes v with its wire codec and enqueues a notification of the
+// given kind to one subscription. The span context from ctx (if any) rides in
+// the notification envelope, so asynchronous delivery still joins the
+// publishing operation's trace.
+func (d *Dispatcher) PublishTo(ctx context.Context, id, kind string, v wire.Marshaler) error {
 	body := wire.Marshal(v)
 	sc, _ := trace.FromContext(ctx)
 	d.mu.Lock()

@@ -2,11 +2,13 @@ package event
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/lease"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -81,7 +83,7 @@ func TestPublishDelivers(t *testing.T) {
 		t.Fatal("empty subscription id")
 	}
 	for i := 1; i <= 3; i++ {
-		if _, err := d.Publish("tick", payload{X: i}); err != nil {
+		if err := d.PublishTo(context.Background(), id, "tick", payload{X: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,7 +117,7 @@ func TestPublishToTargetsOne(t *testing.T) {
 	idA, _ := d.Subscribe("a", "notify", time.Minute)
 	d.Subscribe("b", "notify", time.Minute)
 
-	if err := d.PublishTo(idA, "only-a", payload{X: 9}); err != nil {
+	if err := d.PublishTo(context.Background(), idA, "only-a", payload{X: 9}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return a.len() == 1 })
@@ -134,11 +136,12 @@ func TestCancelStopsDelivery(t *testing.T) {
 	defer d.Close()
 	id, _ := d.Subscribe("l", "notify", time.Minute)
 	d.Cancel(id)
-	if n, _ := d.Publish("tick", payload{}); n != 0 {
-		t.Errorf("published to %d subscribers after cancel", n)
+	if err := d.PublishTo(context.Background(), id, "tick", payload{}); !errors.Is(err, lease.ErrUnknownLease) {
+		t.Errorf("publish after cancel: err = %v, want ErrUnknownLease", err)
 	}
-	if len(d.Subscribers()) != 0 {
-		t.Error("subscriber list not empty")
+	time.Sleep(10 * time.Millisecond)
+	if got.len() != 0 {
+		t.Error("cancelled subscriber received an event")
 	}
 }
 
@@ -150,13 +153,13 @@ func TestLeaseExpiryDropsSubscriber(t *testing.T) {
 	clk := clock.NewManual(time.Unix(0, 0))
 	d := NewDispatcher("src", fabric.Node("src"), clk)
 	defer d.Close()
-	d.Subscribe("l", "notify", 10*time.Second)
+	id, _ := d.Subscribe("l", "notify", 10*time.Second)
 	clk.Advance(11 * time.Second)
 	if n := d.ExpireNow(); n != 1 {
 		t.Fatalf("expired %d, want 1", n)
 	}
-	if len(d.Subscribers()) != 0 {
-		t.Error("expired subscriber still present")
+	if err := d.PublishTo(context.Background(), id, "tick", payload{}); !errors.Is(err, lease.ErrUnknownLease) {
+		t.Errorf("publish after expiry: err = %v, want ErrUnknownLease", err)
 	}
 }
 
@@ -165,14 +168,17 @@ func TestUnreachableSubscriberDropped(t *testing.T) {
 	// No listener served at "ghost".
 	d := NewDispatcher("src", fabric.Node("src"), clock.Real{})
 	defer d.Close()
-	d.Subscribe("ghost", "notify", time.Minute)
+	id, _ := d.Subscribe("ghost", "notify", time.Minute)
 	for i := 0; i < maxFailures; i++ {
-		if _, err := d.Publish("tick", payload{}); err != nil {
+		if err := d.PublishTo(context.Background(), id, "tick", payload{}); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	waitFor(t, func() bool { return len(d.Subscribers()) == 0 })
+	waitFor(t, func() bool {
+		_, err := d.Renew(id, time.Minute)
+		return errors.Is(err, lease.ErrUnknownLease)
+	})
 }
 
 func TestRenewUnknown(t *testing.T) {

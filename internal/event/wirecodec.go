@@ -3,7 +3,7 @@ package event
 import "repro/internal/wire"
 
 // MarshalWire encodes n with the wire codec. Body is already a wire frame
-// (Publish encodes it) and is carried as opaque bytes.
+// (PublishTo encodes it) and is carried as opaque bytes.
 func (n Notification) MarshalWire(e *wire.Encoder) {
 	e.String(n.Source)
 	e.Varint(n.Seq)

@@ -1,6 +1,7 @@
 package lease
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -14,13 +15,13 @@ func TestGrantRenewExpire(t *testing.T) {
 	g := NewGrantor(clk)
 
 	expired := make(chan ID, 1)
-	l := g.Grant(10*time.Second, func(id ID) { expired <- id })
+	l := g.Grant(context.Background(), 10*time.Second, func(id ID) { expired <- id })
 	if !g.Active(l.ID) {
 		t.Fatal("fresh lease should be active")
 	}
 
 	clk.Advance(5 * time.Second)
-	if _, err := g.Renew(l.ID, 10*time.Second); err != nil {
+	if _, err := g.Renew(context.Background(), l.ID, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(8 * time.Second)
@@ -47,9 +48,9 @@ func TestGrantRenewExpire(t *testing.T) {
 func TestRenewExpiredFails(t *testing.T) {
 	clk := clock.NewManual(time.Unix(0, 0))
 	g := NewGrantor(clk)
-	l := g.Grant(time.Second, nil)
+	l := g.Grant(context.Background(), time.Second, nil)
 	clk.Advance(2 * time.Second)
-	if _, err := g.Renew(l.ID, time.Second); !errors.Is(err, ErrExpired) {
+	if _, err := g.Renew(context.Background(), l.ID, time.Second); !errors.Is(err, ErrExpired) {
 		t.Fatalf("want ErrExpired, got %v", err)
 	}
 }
@@ -58,7 +59,7 @@ func TestCancelSkipsCallback(t *testing.T) {
 	clk := clock.NewManual(time.Unix(0, 0))
 	g := NewGrantor(clk)
 	called := false
-	l := g.Grant(time.Second, func(ID) { called = true })
+	l := g.Grant(context.Background(), time.Second, func(ID) { called = true })
 	if err := g.Cancel(l.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestCancelSkipsCallback(t *testing.T) {
 	if err := g.Cancel(l.ID); !errors.Is(err, ErrUnknownLease) {
 		t.Errorf("double cancel: %v", err)
 	}
-	if _, err := g.Renew(l.ID, time.Second); !errors.Is(err, ErrUnknownLease) {
+	if _, err := g.Renew(context.Background(), l.ID, time.Second); !errors.Is(err, ErrUnknownLease) {
 		t.Errorf("renew after cancel: %v", err)
 	}
 }
@@ -79,7 +80,7 @@ func TestGrantorSweeper(t *testing.T) {
 	g := NewGrantor(clock.Real{})
 	var mu sync.Mutex
 	expired := 0
-	g.Grant(5*time.Millisecond, func(ID) {
+	g.Grant(context.Background(), 5*time.Millisecond, func(ID) {
 		mu.Lock()
 		expired++
 		mu.Unlock()
@@ -102,11 +103,16 @@ func TestGrantorSweeper(t *testing.T) {
 	}
 }
 
+// renewAt adapts g.Renew to the holder-side RenewFunc.
+func renewAt(g *Grantor) RenewFunc {
+	return func(id ID, d time.Duration) (Lease, error) { return g.Renew(context.Background(), id, d) }
+}
+
 func TestRenewerKeepsAlive(t *testing.T) {
 	g := NewGrantor(clock.Real{})
 	expired := make(chan ID, 1)
-	l := g.Grant(20*time.Millisecond, func(id ID) { expired <- id })
-	r := NewRenewer(clock.Real{}, l, g.Renew, 0.5, nil)
+	l := g.Grant(context.Background(), 20*time.Millisecond, func(id ID) { expired <- id })
+	r := NewRenewer(clock.Real{}, l, renewAt(g), nil)
 	r.Start()
 	g.Start(5 * time.Millisecond)
 	defer g.Stop()
@@ -126,13 +132,13 @@ func TestRenewerKeepsAlive(t *testing.T) {
 
 func TestRenewerFailureCallback(t *testing.T) {
 	g := NewGrantor(clock.Real{})
-	l := g.Grant(10*time.Millisecond, nil)
+	l := g.Grant(context.Background(), 10*time.Millisecond, nil)
 	// Cancel underneath the renewer so its next renewal fails.
 	if err := g.Cancel(l.ID); err != nil {
 		t.Fatal(err)
 	}
 	failed := make(chan error, 1)
-	r := NewRenewer(clock.Real{}, l, g.Renew, 0.5, func(err error) { failed <- err })
+	r := NewRenewer(clock.Real{}, l, renewAt(g), func(err error) { failed <- err })
 	r.Start()
 	select {
 	case err := <-failed:
@@ -149,7 +155,7 @@ func TestLeaseIDsUnique(t *testing.T) {
 	g := NewGrantor(clock.Real{})
 	seen := make(map[ID]bool)
 	for i := 0; i < 100; i++ {
-		l := g.Grant(time.Minute, nil)
+		l := g.Grant(context.Background(), time.Minute, nil)
 		if seen[l.ID] {
 			t.Fatal("duplicate lease ID")
 		}

@@ -1,6 +1,7 @@
 package lease
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -26,10 +27,10 @@ func waitManualTimers(t *testing.T, clk *clock.Manual, n int) {
 func TestRenewExactlyAtExpiry(t *testing.T) {
 	clk := clock.NewManual(time.Unix(0, 0))
 	g := NewGrantor(clk)
-	l := g.Grant(10*time.Second, nil)
+	l := g.Grant(context.Background(), 10*time.Second, nil)
 
 	clk.Advance(10 * time.Second) // now == expiry, not past it
-	renewed, err := g.Renew(l.ID, 10*time.Second)
+	renewed, err := g.Renew(context.Background(), l.ID, 10*time.Second)
 	if err != nil {
 		t.Fatalf("renew exactly at expiry: %v", err)
 	}
@@ -38,7 +39,7 @@ func TestRenewExactlyAtExpiry(t *testing.T) {
 	}
 
 	clk.Advance(10*time.Second + time.Nanosecond) // now strictly past expiry
-	if _, err := g.Renew(l.ID, 10*time.Second); !errors.Is(err, ErrExpired) {
+	if _, err := g.Renew(context.Background(), l.ID, 10*time.Second); !errors.Is(err, ErrExpired) {
 		t.Fatalf("renew past expiry: %v, want ErrExpired", err)
 	}
 }
@@ -54,7 +55,7 @@ func TestRenewerAdoptsShorterLease(t *testing.T) {
 		// Grant only 4s of the requested 10s.
 		return Lease{ID: id, Duration: 4 * time.Second}, nil
 	}
-	r := NewRenewer(clk, Lease{ID: "l", Duration: 10 * time.Second}, renew, 0.5, nil)
+	r := NewRenewer(clk, Lease{ID: "l", Duration: 10 * time.Second}, renew, nil)
 	r.Start()
 	defer r.Stop()
 
@@ -73,78 +74,5 @@ func TestRenewerAdoptsShorterLease(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("renewer kept the requested duration instead of the granted one")
-	}
-}
-
-// Stopping the renewer while it is waiting between in-lease retries is a
-// deliberate halt and must not fire the failure callback (which would make a
-// base declare a node departed during an orderly release).
-func TestRenewerStopDuringInFlightRetryDoesNotFail(t *testing.T) {
-	clk := clock.NewManual(time.Unix(0, 0))
-	attempts := make(chan struct{}, 8)
-	renew := func(ID, time.Duration) (Lease, error) {
-		attempts <- struct{}{}
-		return Lease{}, ErrUnknownLease
-	}
-	failed := make(chan error, 1)
-	r := NewRenewer(clk, Lease{ID: "l", Duration: 10 * time.Second}, renew, 0.5, func(err error) { failed <- err })
-	r.SetRetries(3)
-	r.Start()
-
-	waitManualTimers(t, clk, 1)
-	clk.Advance(5 * time.Second)
-	<-attempts                  // first renewal failed
-	waitManualTimers(t, clk, 1) // renewer is now waiting out the retry gap
-	r.Stop()                    // cancel mid-retry
-
-	select {
-	case err := <-failed:
-		t.Fatalf("failure callback fired on deliberate stop: %v", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-}
-
-// Exhausting the in-lease retries still reports failure exactly once, with
-// every retry spaced inside the remaining lease time.
-func TestRenewerRetriesExhaustedReportsOnce(t *testing.T) {
-	clk := clock.NewManual(time.Unix(0, 0))
-	attempts := make(chan time.Time, 8)
-	renew := func(ID, time.Duration) (Lease, error) {
-		attempts <- clk.Now()
-		return Lease{}, ErrUnknownLease
-	}
-	failed := make(chan error, 2)
-	r := NewRenewer(clk, Lease{ID: "l", Duration: 8 * time.Second}, renew, 0.5, func(err error) { failed <- err })
-	r.SetRetries(2)
-	r.Start()
-	defer r.Stop()
-
-	waitManualTimers(t, clk, 1)
-	clk.Advance(4 * time.Second)
-	first := <-attempts // initial renewal at t=4s
-	if !first.Equal(time.Unix(4, 0)) {
-		t.Fatalf("first attempt at %v", first)
-	}
-	// Slack is 4s, 2 retries → gap 4s/3.
-	for i := 0; i < 2; i++ {
-		waitManualTimers(t, clk, 1)
-		clk.Advance(4 * time.Second / 3)
-		at := <-attempts
-		if !at.Before(time.Unix(8, 0).Add(time.Second)) {
-			t.Fatalf("retry %d at %v, outside the lease", i+1, at)
-		}
-	}
-	select {
-	case err := <-failed:
-		if !errors.Is(err, ErrUnknownLease) {
-			t.Fatalf("failure err = %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("renewer never reported failure")
-	}
-	select {
-	case err := <-failed:
-		t.Fatalf("failure reported twice: %v", err)
-	case <-time.After(20 * time.Millisecond):
 	}
 }

@@ -1,6 +1,7 @@
 package lease
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -16,7 +17,7 @@ func TestRestoreExpiredLeaseFiresImmediately(t *testing.T) {
 	clk := clock.NewManual(time.Unix(1000, 0))
 	g := NewGrantor(clk)
 
-	granted := g.Grant(10*time.Second, nil)
+	granted := g.Grant(context.Background(), 10*time.Second, nil)
 	deadline := granted.Expiry // what a journal would persist
 
 	// The process crashes; by the time it is back, the deadline has long
@@ -51,7 +52,7 @@ func TestRestoreExpiredLeaseFiresImmediately(t *testing.T) {
 func TestRestoreLiveLeaseKeepsRemainingWindow(t *testing.T) {
 	clk := clock.NewManual(time.Unix(1000, 0))
 	g := NewGrantor(clk)
-	granted := g.Grant(10*time.Second, nil)
+	granted := g.Grant(context.Background(), 10*time.Second, nil)
 
 	clk.Advance(4 * time.Second) // crash + quick restart, 6s of lease left
 	g2 := NewGrantor(clk)
@@ -73,7 +74,7 @@ func TestRestoreLiveLeaseKeepsRemainingWindow(t *testing.T) {
 	// A renewal on a restored lease extends from now, as usual.
 	g3 := NewGrantor(clk)
 	g3.Restore(granted.ID, clk.Now().Add(2*time.Second), granted.Duration, nil)
-	l, err := g3.Renew(granted.ID, 10*time.Second)
+	l, err := g3.Renew(context.Background(), granted.ID, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

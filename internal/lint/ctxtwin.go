@@ -6,9 +6,11 @@ import (
 
 // CtxTwin flags calls to a context-less API from a function that has a
 // context.Context in scope, when every type declaring that API also offers a
-// FooCtx twin. Such calls silently drop cancellation: the platform grew Ctx
-// variants (InstallCtx, AdaptNodeCtx, GrantCtx, ...) precisely so RPC
-// deadlines propagate into lease and weave operations.
+// FooCtx twin. Such calls silently drop cancellation and the caller's trace.
+// Every other operation now takes ctx first; the one twin left is
+// Receiver.Install/InstallCtx, kept only because the benchmark module calls
+// the context-free form. When that call takes a context, InstallCtx and this
+// analyzer go.
 var CtxTwin = &Analyzer{
 	Name: "ctxtwin",
 	Doc:  "flag Foo(...) calls with a context.Context in scope when FooCtx exists on every declaring type",

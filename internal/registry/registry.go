@@ -184,14 +184,9 @@ func NewLookup(clk clock.Clock) *Lookup {
 func (l *Lookup) Grantor() *lease.Grantor { return l.grantor }
 
 // Register advertises item for the lease duration. Re-registering an existing
-// ID refreshes the item and returns a fresh lease.
-func (l *Lookup) Register(item ServiceItem, dur time.Duration) (lease.Lease, error) {
-	return l.RegisterCtx(context.Background(), item, dur)
-}
-
-// RegisterCtx is Register stamping watcher events with the span context from
-// ctx (if any), so watchers join the registrant's trace.
-func (l *Lookup) RegisterCtx(ctx context.Context, item ServiceItem, dur time.Duration) (lease.Lease, error) {
+// ID refreshes the item and returns a fresh lease. Watcher events carry the
+// span context from ctx (if any), so watchers join the registrant's trace.
+func (l *Lookup) Register(ctx context.Context, item ServiceItem, dur time.Duration) (lease.Lease, error) {
 	if item.ID == "" || item.Name == "" {
 		return lease.Lease{}, errors.New("registry: item needs ID and Name")
 	}
@@ -211,7 +206,7 @@ func (l *Lookup) RegisterCtx(ctx context.Context, item ServiceItem, dur time.Dur
 		_ = l.grantor.Cancel(old.leaseID)
 	}
 
-	gl := l.grantor.GrantCtx(ctx, dur, func(id lease.ID) { l.expireLease(id) })
+	gl := l.grantor.Grant(ctx, dur, func(id lease.ID) { l.expireLease(id) })
 
 	s.mu.Lock()
 	s.items[item.ID] = &entry{item: item, leaseID: gl.ID}
@@ -234,7 +229,7 @@ func (l *Lookup) RegisterCtx(ctx context.Context, item ServiceItem, dur time.Dur
 
 // Renew extends a registration lease.
 func (l *Lookup) Renew(id lease.ID, dur time.Duration) (lease.Lease, error) {
-	return l.grantor.Renew(id, dur)
+	return l.grantor.Renew(context.TODO(), id, dur)
 }
 
 // Deregister removes the service with the given service ID.
@@ -310,7 +305,7 @@ func (l *Lookup) WatchFull(tmpl Template, dur time.Duration, notify func(Event),
 	l.m.watchers.Set(int64(len(l.watchers)))
 	l.mu.Unlock()
 
-	gl := l.grantor.Grant(dur, func(lease.ID) { l.Unwatch(id) })
+	gl := l.grantor.Grant(context.TODO(), dur, func(lease.ID) { l.Unwatch(id) })
 	l.mu.Lock()
 	w.leaseID = gl.ID
 	l.mu.Unlock()
@@ -325,7 +320,7 @@ func (l *Lookup) RenewWatch(id string, dur time.Duration) (lease.Lease, error) {
 	if !ok {
 		return lease.Lease{}, lease.ErrUnknownLease
 	}
-	return l.grantor.Renew(w.leaseID, dur)
+	return l.grantor.Renew(context.TODO(), w.leaseID, dur)
 }
 
 // Unwatch removes a watcher.

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -14,10 +15,10 @@ func item(id, name string, attrs map[string]string) ServiceItem {
 
 func TestRegisterFind(t *testing.T) {
 	l := NewLookup(clock.NewManual(time.Unix(0, 0)))
-	if _, err := l.Register(item("r1", "midas.adaptation", map[string]string{"node": "robot1"}), time.Minute); err != nil {
+	if _, err := l.Register(context.Background(), item("r1", "midas.adaptation", map[string]string{"node": "robot1"}), time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Register(item("b1", "midas.base", nil), time.Minute); err != nil {
+	if _, err := l.Register(context.Background(), item("b1", "midas.base", nil), time.Minute); err != nil {
 		t.Fatal(err)
 	}
 
@@ -45,20 +46,20 @@ func TestRegisterFind(t *testing.T) {
 
 func TestRegisterValidation(t *testing.T) {
 	l := NewLookup(clock.NewManual(time.Unix(0, 0)))
-	if _, err := l.Register(ServiceItem{Name: "x"}, time.Minute); err == nil {
+	if _, err := l.Register(context.Background(), ServiceItem{Name: "x"}, time.Minute); err == nil {
 		t.Error("missing ID should fail")
 	}
-	if _, err := l.Register(ServiceItem{ID: "x"}, time.Minute); err == nil {
+	if _, err := l.Register(context.Background(), ServiceItem{ID: "x"}, time.Minute); err == nil {
 		t.Error("missing Name should fail")
 	}
 }
 
 func TestReregisterRefreshes(t *testing.T) {
 	l := NewLookup(clock.NewManual(time.Unix(0, 0)))
-	if _, err := l.Register(item("r1", "svc", map[string]string{"v": "1"}), time.Minute); err != nil {
+	if _, err := l.Register(context.Background(), item("r1", "svc", map[string]string{"v": "1"}), time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Register(item("r1", "svc", map[string]string{"v": "2"}), time.Minute); err != nil {
+	if _, err := l.Register(context.Background(), item("r1", "svc", map[string]string{"v": "2"}), time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if l.Len() != 1 {
@@ -73,7 +74,7 @@ func TestReregisterRefreshes(t *testing.T) {
 func TestLeaseExpiryRemovesItem(t *testing.T) {
 	clk := clock.NewManual(time.Unix(0, 0))
 	l := NewLookup(clk)
-	if _, err := l.Register(item("r1", "svc", nil), 10*time.Second); err != nil {
+	if _, err := l.Register(context.Background(), item("r1", "svc", nil), 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(5 * time.Second)
@@ -91,7 +92,7 @@ func TestLeaseExpiryRemovesItem(t *testing.T) {
 func TestRenewExtendsRegistration(t *testing.T) {
 	clk := clock.NewManual(time.Unix(0, 0))
 	l := NewLookup(clk)
-	gl, err := l.Register(item("r1", "svc", nil), 10*time.Second)
+	gl, err := l.Register(context.Background(), item("r1", "svc", nil), 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,10 +118,10 @@ func TestWatchNotifiesAddAndRemove(t *testing.T) {
 		mu.Unlock()
 	})
 
-	if _, err := l.Register(item("r1", "midas.adaptation", nil), 10*time.Second); err != nil {
+	if _, err := l.Register(context.Background(), item("r1", "midas.adaptation", nil), 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Register(item("x", "other", nil), 10*time.Second); err != nil {
+	if _, err := l.Register(context.Background(), item("x", "other", nil), 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Deregister("r1"); err != nil {
@@ -150,7 +151,7 @@ func TestWatchSeesLeaseExpiryAsRemoval(t *testing.T) {
 		kinds = append(kinds, ev.Kind)
 		mu.Unlock()
 	})
-	if _, err := l.Register(item("r1", "svc", nil), time.Second); err != nil {
+	if _, err := l.Register(context.Background(), item("r1", "svc", nil), time.Second); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(2 * time.Second)
@@ -171,7 +172,7 @@ func TestUnwatchStopsNotifications(t *testing.T) {
 	if !removed {
 		t.Error("onRemoved did not run")
 	}
-	if _, err := l.Register(item("r1", "svc", nil), time.Minute); err != nil {
+	if _, err := l.Register(context.Background(), item("r1", "svc", nil), time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if count != 0 {
@@ -186,7 +187,7 @@ func TestWatcherLeaseExpiry(t *testing.T) {
 	l.Watch(Template{}, time.Second, func(Event) { count++ })
 	clk.Advance(2 * time.Second)
 	l.ExpireNow()
-	if _, err := l.Register(item("r1", "svc", nil), time.Minute); err != nil {
+	if _, err := l.Register(context.Background(), item("r1", "svc", nil), time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if count != 0 {

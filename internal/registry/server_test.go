@@ -29,7 +29,7 @@ func TestServerRegisterFindRenewDeregister(t *testing.T) {
 	fabric := transport.NewInProc()
 	_, client := newLookupServer(t, fabric)
 
-	leaseID, err := client.Register(ServiceItem{ID: "r1", Name: "midas.adaptation", Addr: "r1"}, time.Minute)
+	leaseID, err := client.Register(context.Background(), ServiceItem{ID: "r1", Name: "midas.adaptation", Addr: "r1"}, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestServerWatchDeliversRemoteEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := client.Register(ServiceItem{ID: "r1", Name: "midas.adaptation", Addr: "r1"}, time.Minute); err != nil {
+	if _, err := client.Register(context.Background(), ServiceItem{ID: "r1", Name: "midas.adaptation", Addr: "r1"}, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if err := client.Deregister("r1"); err != nil {
@@ -132,7 +132,7 @@ func TestServerOverTCP(t *testing.T) {
 	defer tcpSrv.Close()
 
 	client := &Client{Caller: caller, Addr: tcpSrv.Addr()}
-	if _, err := client.Register(ServiceItem{ID: "n1", Name: "svc", Addr: "x"}, time.Minute); err != nil {
+	if _, err := client.Register(context.Background(), ServiceItem{ID: "n1", Name: "svc", Addr: "x"}, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	items, err := client.Find(Template{Name: "svc"})

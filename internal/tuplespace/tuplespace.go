@@ -152,7 +152,7 @@ func (s *Space) Out(t Tuple, dur time.Duration) lease.Lease {
 
 	var l lease.Lease
 	if dur > 0 {
-		l = s.grantor.Grant(dur, func(lease.ID) {
+		l = s.grantor.Grant(context.TODO(), dur, func(lease.ID) {
 			s.mu.Lock()
 			delete(s.entries, id)
 			s.mu.Unlock()
@@ -168,7 +168,7 @@ func (s *Space) Out(t Tuple, dur time.Duration) lease.Lease {
 
 // Renew extends a tuple's lease.
 func (s *Space) Renew(id lease.ID, dur time.Duration) error {
-	_, err := s.grantor.Renew(id, dur)
+	_, err := s.grantor.Renew(context.TODO(), id, dur)
 	return err
 }
 

@@ -10,7 +10,6 @@
 package weave
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -19,7 +18,6 @@ import (
 
 	"repro/internal/aop"
 	"repro/internal/metrics"
-	"repro/internal/trace"
 )
 
 // Site is one static join point in a woven application. The JIT plants a
@@ -102,10 +100,6 @@ type Weaver struct {
 	seq     int
 
 	m *weaverMetrics // nil until Instrument
-
-	// tracer records weave/unweave control-plane spans. It is never consulted
-	// on the dispatch path, so tracing adds zero cost to interceptions.
-	tracer *trace.Tracer
 }
 
 // weaverMetrics holds the weaver's own instruments plus the shared dispatch
@@ -318,58 +312,6 @@ func (w *Weaver) Replace(oldName string, a *aop.Aspect) error {
 		old.aspect.OnShutdown()
 	}
 	return nil
-}
-
-// Trace records weave/unweave operations as spans in tr. Only the
-// insert/withdraw/replace control plane is traced; the join-point fast path
-// (Active, one atomic load) and Dispatch never touch the tracer. A nil tr is
-// a no-op.
-func (w *Weaver) Trace(tr *trace.Tracer) {
-	if tr == nil {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.tracer = tr
-}
-
-func (w *Weaver) traceRef() *trace.Tracer {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.tracer
-}
-
-// InsertCtx is Insert recording a "weave.insert" span in the trace carried
-// by ctx (typically the extension install that triggered the weave).
-func (w *Weaver) InsertCtx(ctx context.Context, a *aop.Aspect) error {
-	_, sp := w.traceRef().StartSpan(ctx, "weave.insert")
-	sp.Tag("aspect", a.Name)
-	err := w.Insert(a)
-	sp.End(err)
-	return err
-}
-
-// WithdrawCtx is Withdraw recording a "weave.withdraw" span in the trace
-// carried by ctx.
-func (w *Weaver) WithdrawCtx(ctx context.Context, name string) error {
-	_, sp := w.traceRef().StartSpan(ctx, "weave.withdraw")
-	sp.Tag("aspect", name)
-	err := w.Withdraw(name)
-	sp.End(err)
-	return err
-}
-
-// ReplaceCtx is Replace recording a "weave.replace" span in the trace
-// carried by ctx.
-func (w *Weaver) ReplaceCtx(ctx context.Context, oldName string, a *aop.Aspect) error {
-	_, sp := w.traceRef().StartSpan(ctx, "weave.replace")
-	sp.Tag("aspect", a.Name)
-	if oldName != a.Name {
-		sp.Tag("replaces", oldName)
-	}
-	err := w.Replace(oldName, a)
-	sp.End(err)
-	return err
 }
 
 // Has reports whether the named aspect is active.

@@ -4,6 +4,7 @@
 package repro
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -74,7 +75,7 @@ func TestMetricsLeaseLifecycle(t *testing.T) {
 	}
 
 	// Stage 1: adaptation. The push installs and leases one extension.
-	if err := base.AdaptNode("plotter-A", "plotter-A"); err != nil {
+	if err := base.AdaptNode(context.Background(), "plotter-A", "plotter-A"); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()

@@ -96,7 +96,7 @@ func TestScenarioBaseCrashMidPushConverges(t *testing.T) {
 		if err := b1.base.AddExtension(noopScenarioExt("guard", 1)); err != nil {
 			t.Fatal(err)
 		}
-		if err := b1.base.AdaptNode("robot1", "robot1"); err != nil {
+		if err := b1.base.AdaptNode(context.Background(), "robot1", "robot1"); err != nil {
 			t.Fatal(err)
 		}
 
@@ -193,7 +193,7 @@ func TestScenarioReceiverWipedDuringPartition(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := b.base.AdaptNode("robot1", "robot1"); err != nil {
+	if err := b.base.AdaptNode(context.Background(), "robot1", "robot1"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -266,7 +266,7 @@ func TestScenarioMissedRevokeReconciled(t *testing.T) {
 	if err := b.base.AddExtension(trackedScenarioExt("cleanup", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.base.AdaptNode("robot1", "robot1"); err != nil {
+	if err := b.base.AdaptNode(context.Background(), "robot1", "robot1"); err != nil {
 		t.Fatal(err)
 	}
 

@@ -7,6 +7,7 @@
 package repro
 
 import (
+	"context"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -206,7 +207,7 @@ func trackedScenarioExt(name string, version int) core.Extension {
 func adaptWithRetries(t *testing.T, b *scenarioBase, nodeID, addr string) {
 	t.Helper()
 	for i := 0; i < 50; i++ {
-		if err := b.base.AdaptNode(nodeID, addr); err == nil {
+		if err := b.base.AdaptNode(context.Background(), nodeID, addr); err == nil {
 			return
 		}
 	}
@@ -223,7 +224,7 @@ func TestScenarioDepartureMidLease(t *testing.T) {
 	if err := b.base.AddExtension(noopScenarioExt("policy", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.base.AdaptNode("robot1", "robot1"); err != nil {
+	if err := b.base.AdaptNode(context.Background(), "robot1", "robot1"); err != nil {
 		t.Fatal(err)
 	}
 	if !n.receiver.Has("policy") {
@@ -261,7 +262,7 @@ func TestScenarioAsymmetricResponseLoss(t *testing.T) {
 	if err := b.base.AddExtension(noopScenarioExt("policy", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.base.AdaptNode("robot1", "robot1"); err != nil {
+	if err := b.base.AdaptNode(context.Background(), "robot1", "robot1"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -298,7 +299,7 @@ func TestScenarioFlappingLinkIdempotentPush(t *testing.T) {
 	}
 
 	w.net.Partition("robot1", "base-1") // responses lost
-	if err := b.base.AdaptNode("robot1", "robot1"); err == nil {
+	if err := b.base.AdaptNode(context.Background(), "robot1", "robot1"); err == nil {
 		t.Fatal("adapt through response loss should fail at the base")
 	}
 	if !n.receiver.Has("policy") {
@@ -309,7 +310,7 @@ func TestScenarioFlappingLinkIdempotentPush(t *testing.T) {
 	}
 
 	w.net.Heal("robot1", "base-1")
-	if err := b.base.AdaptNode("robot1", "robot1"); err != nil {
+	if err := b.base.AdaptNode(context.Background(), "robot1", "robot1"); err != nil {
 		t.Fatalf("re-adapt after heal: %v", err)
 	}
 	if got := n.counter("ext.installs"); got != 1 {
@@ -399,7 +400,7 @@ func TestScenarioDuplicateRevokeSingleShutdown(t *testing.T) {
 	if err := b.base.AddExtension(trackedScenarioExt("tracked-policy", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.base.AdaptNode("robot1", "robot1"); err != nil {
+	if err := b.base.AdaptNode(context.Background(), "robot1", "robot1"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -435,7 +436,7 @@ func TestScenarioStaleDuplicateInstallRejected(t *testing.T) {
 	if err := b.base.AddExtension(noopScenarioExt("policy", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.base.AdaptNode("robot1", "robot1"); err != nil {
+	if err := b.base.AdaptNode(context.Background(), "robot1", "robot1"); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.base.ReplaceExtension(noopScenarioExt("policy", 2)); err != nil {
@@ -466,7 +467,7 @@ func TestScenarioNodeCrashWipedReadapts(t *testing.T) {
 	if err := b.base.AddExtension(noopScenarioExt("policy", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.base.AdaptNode("robot1", "robot1"); err != nil {
+	if err := b.base.AdaptNode(context.Background(), "robot1", "robot1"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -477,7 +478,7 @@ func TestScenarioNodeCrashWipedReadapts(t *testing.T) {
 	// A fresh node reappears under the same address; the base re-adapts it
 	// (modelling the next discovery round) with a clean install.
 	n2 := w.newNode("robot1", b.signer)
-	if err := b.base.AdaptNode("robot1", "robot1"); err != nil {
+	if err := b.base.AdaptNode(context.Background(), "robot1", "robot1"); err != nil {
 		t.Fatal(err)
 	}
 	if !n2.receiver.Has("policy") {
@@ -555,7 +556,7 @@ func TestScenarioDeterministicReplay(t *testing.T) {
 			if v == 1 {
 				err = b.base.AddExtension(ext)
 				for i := 0; err == nil && i < 20; i++ {
-					if aerr := b.base.AdaptNode("robot1", "robot1"); aerr == nil {
+					if aerr := b.base.AdaptNode(context.Background(), "robot1", "robot1"); aerr == nil {
 						break
 					}
 				}

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -105,7 +106,7 @@ func TestSoakAdaptDepartHeapFlat(t *testing.T) {
 	cycle := func(i int) {
 		name := names[i%poolSize]
 		r := nodes[name]
-		if err := base.AdaptNode(name, name); err != nil {
+		if err := base.AdaptNode(context.Background(), name, name); err != nil {
 			t.Fatalf("cycle %d: adapt %s: %v", i, name, err)
 		}
 		if !r.Has("policy") {

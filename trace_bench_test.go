@@ -1,8 +1,9 @@
-// Benchmarks for the tracing layer. The acceptance bar: with tracing enabled
-// but no span on the path, the weave hot path (one atomic load per inactive
-// join point) must not regress measurably — tracing touches only the weaver's
-// insert/withdraw/replace control plane, never dispatch. The span arms price
-// the control-plane cost itself.
+// Benchmarks for the tracing layer. The weaver holds no tracer: the receiver
+// records the weave.insert/withdraw/replace spans around its weaver calls, so
+// the weave hot path (one atomic load per inactive join point) and dispatch
+// cannot pay for tracing. The fast-path and dispatch arms stay as the
+// baseline that claim is checked against; the span arms price the
+// control-plane cost itself.
 package repro
 
 import (
@@ -15,47 +16,37 @@ import (
 )
 
 func BenchmarkTraceOverhead(b *testing.B) {
-	arms := []struct {
-		name string
-		tr   *trace.Tracer
-	}{
-		{"trace-off", nil},
-		{"trace-on", trace.New(1)},
+	w := weave.New()
+	idle := w.RegisterMethodSite(aop.MethodEntry,
+		aop.Signature{Class: "Idle", Method: "m", Return: "void"})
+	hot := w.RegisterMethodSite(aop.MethodEntry,
+		aop.Signature{Class: "Hot", Method: "m", Return: "void"})
+	if err := w.Insert(&aop.Aspect{Name: "noop", Advices: []aop.Advice{
+		aop.BeforeCall("Hot.m(..)", aop.BodyFunc(func(*aop.Context) error { return nil })),
+	}}); err != nil {
+		b.Fatal(err)
 	}
-	for _, arm := range arms {
-		w := weave.New()
-		w.Trace(arm.tr)
-		idle := w.RegisterMethodSite(aop.MethodEntry,
-			aop.Signature{Class: "Idle", Method: "m", Return: "void"})
-		hot := w.RegisterMethodSite(aop.MethodEntry,
-			aop.Signature{Class: "Hot", Method: "m", Return: "void"})
-		if err := w.Insert(&aop.Aspect{Name: "noop", Advices: []aop.Advice{
-			aop.BeforeCall("Hot.m(..)", aop.BodyFunc(func(*aop.Context) error { return nil })),
-		}}); err != nil {
-			b.Fatal(err)
-		}
 
-		b.Run("fast-path/"+arm.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if idle.Active() {
-					b.Fatal("idle site became active")
-				}
+	b.Run("fast-path", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if idle.Active() {
+				b.Fatal("idle site became active")
 			}
-		})
-		b.Run("dispatch/"+arm.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ctx := weave.GetContext()
-				ctx.Kind = aop.MethodEntry
-				ctx.Sig = hot.Sig
-				if err := hot.Dispatch(ctx); err != nil {
-					b.Fatal(err)
-				}
-				weave.PutContext(ctx)
+		}
+	})
+	b.Run("dispatch", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ctx := weave.GetContext()
+			ctx.Kind = aop.MethodEntry
+			ctx.Sig = hot.Sig
+			if err := hot.Dispatch(ctx); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			weave.PutContext(ctx)
+		}
+	})
 
 	// Control-plane costs: what a span or event actually costs when recorded.
 	tr := trace.New(1)

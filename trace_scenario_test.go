@@ -104,6 +104,8 @@ func spansByName(spans []trace.SpanSnapshot) map[string][]trace.SpanSnapshot {
 // the lookup, watcher-event adaptation, a push whose first response is lost
 // (retry + idempotent refresh), weaving, a lease renewal, then revocation —
 // and asserts every span of it shares the trace rooted at the advertisement.
+// A version upgrade of a second extension then pins the weave.replace span
+// under the receiver's replacing install.
 func TestScenarioTracedLifecycle(t *testing.T) {
 	w := newSimWorld(t)
 	tr := trace.New(w.seed)
@@ -267,6 +269,32 @@ func TestScenarioTracedLifecycle(t *testing.T) {
 	if len(empty.Spans) != 0 {
 		t.Errorf("query for unknown extension returned %d spans", len(empty.Spans))
 	}
+
+	// --- A version upgrade weaves the new version in place. ---
+	// Policy pushes root traces of their own, so the upgrade runs on a second
+	// extension and leaves the lifecycle trace above as it was.
+	if err := b.base.AddExtension(noopScenarioExt("monitor", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.base.ReplaceExtension(noopScenarioExt("monitor", 2)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "monitor v2 installed", func() bool {
+		inst := n.receiver.Installed()
+		return len(inst) == 1 && inst[0].Name == "monitor" && inst[0].Version == 2
+	})
+	replaces := tr.Spans(trace.Filter{Name: "weave.replace"})
+	if len(replaces) != 1 {
+		t.Fatalf("got %d weave.replace spans, want 1", len(replaces))
+	}
+	rep := replaces[0]
+	if rep.Tags["aspect"] != "monitor" {
+		t.Errorf("weave.replace aspect tag = %q, want monitor", rep.Tags["aspect"])
+	}
+	parents := tr.Spans(trace.Filter{TraceID: rep.TraceID, Name: "ext.install", Tags: map[string]string{"outcome": "replace"}})
+	if len(parents) != 1 || parents[0].SpanID != rep.ParentID {
+		t.Errorf("weave.replace parent = %s, want the upgrade's ext.install span with outcome=replace (have %+v)", rep.ParentID, parents)
+	}
 }
 
 func names(spans []trace.SpanSnapshot) []string {
@@ -302,7 +330,7 @@ func TestScenarioTraceDeterministicReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 20; i++ {
-			if err := b.base.AdaptNode("robot1", "robot1"); err == nil {
+			if err := b.base.AdaptNode(context.Background(), "robot1", "robot1"); err == nil {
 				break
 			}
 		}

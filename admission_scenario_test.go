@@ -79,17 +79,16 @@ func (w *simWorld) newAdmissionBase(name string, admission sandbox.Policy) *scen
 	b := &scenarioBase{name: name, reg: metrics.New(), signer: signer, pol: pol}
 	pol.Instrument(b.reg)
 	b.base, err = core.NewBase(core.BaseConfig{
-		Name:          name,
-		Addr:          name,
-		Caller:        w.net.Node(name),
-		Signer:        signer,
-		Clock:         w.clk,
-		LeaseDur:      10 * time.Second,
-		RenewFraction: 0.5,
-		RenewRetries:  2,
-		CallTimeout:   time.Hour,
-		Policy:        pol,
-		Admission:     admission,
+		Name:         name,
+		Addr:         name,
+		Caller:       w.net.Node(name),
+		Signer:       signer,
+		Clock:        w.clk,
+		LeaseDur:     10 * time.Second,
+		RenewRetries: 2,
+		CallTimeout:  time.Hour,
+		Policy:       pol,
+		Admission:    admission,
 	})
 	if err != nil {
 		w.t.Fatal(err)

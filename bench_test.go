@@ -816,75 +816,6 @@ func BenchmarkAblationMatchPerCall(b *testing.B) {
 	})
 }
 
-// AblationRenewInterval measures how the renewal fraction trades renewal
-// traffic against revocation latency: later renewals (7/8 of the lease) mean
-// fewer messages but later failure detection than eager ones (1/2).
-func BenchmarkAblationRenewInterval(b *testing.B) {
-	for _, fraction := range []float64{0.5, 0.875} {
-		b.Run(fmt.Sprintf("fraction=%.3f", fraction), func(b *testing.B) {
-			signer, _ := sign.NewSigner("hall")
-			builtins := core.NewBuiltins()
-			builtins.Register("noop", func(*core.Env, map[string]string) (aop.Body, error) {
-				return aop.BodyFunc(func(*aop.Context) error { return nil }), nil
-			})
-			trust := sign.NewTrustStore()
-			trust.Trust("hall", signer.PublicKey())
-
-			fabric := transport.NewInProc()
-			receiver, err := core.NewReceiver(core.ReceiverConfig{
-				NodeName: "n", Weaver: weave.New(), Trust: trust,
-				Policy: sandbox.AllowAll(), Host: lvm.HostMap{}, Builtins: builtins,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			receiver.Grantor().Start(2 * time.Millisecond)
-			defer receiver.Grantor().Stop()
-			mux := transport.NewMux()
-			receiver.ServeOn(mux)
-			stop, err := fabric.Serve("node", mux)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer stop()
-
-			var totalRevoke time.Duration
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				base, err := core.NewBase(core.BaseConfig{
-					Name: "base", Addr: "base", Caller: fabric.Node("base"),
-					Signer: signer, LeaseDur: 50 * time.Millisecond, RenewFraction: fraction,
-					CallTimeout: 200 * time.Millisecond,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := base.AddExtension(core.Extension{
-					ID: "e", Name: "e", Version: i + 1,
-					Advices: []core.AdviceSpec{{Name: "a", Kind: core.KindCallBefore, Pattern: "*.*(..)", Builtin: "noop"}},
-				}); err != nil {
-					b.Fatal(err)
-				}
-				if err := base.AdaptNode(context.Background(), "n", "node"); err != nil {
-					b.Fatal(err)
-				}
-				// Let a few renewal rounds pass, then yank the node away by
-				// stopping the base's renewals and measure time-to-revoke.
-				time.Sleep(120 * time.Millisecond)
-				start := time.Now()
-				base.Release("node")
-				for receiver.Has("e") {
-					time.Sleep(time.Millisecond)
-				}
-				totalRevoke += time.Since(start)
-				base.Close()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(totalRevoke.Milliseconds())/float64(b.N), "ms-to-revoke")
-		})
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Engine comparison (supporting E1): the interpreted LVM vs the closure JIT,
 // quantifying why PROSE attaches to the JIT rather than interpreting.

@@ -1,6 +1,6 @@
 // Fleet-scale benchmarks for the base station: adapt-round throughput,
 // anti-entropy reconcile rounds, and the timer-wheel renewal scheduler, each
-// against a fleet of lightweight in-process nodes. Besides the standard
+// against a fleet of real receivers on the in-process fabric. Besides the standard
 // go-bench output, every run rewrites BENCH_fleet.json at the repo root so
 // CI can archive the numbers (set BENCH_FLEET_OUT to redirect, or empty to
 // skip).
@@ -31,7 +31,7 @@ import (
 	"repro/internal/transport"
 )
 
-// benchFleet wires a base and n fake fleet nodes over the zero-latency
+// benchFleet wires a base and n real receivers over the zero-latency
 // in-process fabric, on a manual clock the benchmark drives itself.
 type benchFleet struct {
 	clk    *clock.Manual
@@ -39,6 +39,7 @@ type benchFleet struct {
 	base   *core.Base
 	reg    *metrics.Registry
 	names  []string
+	nodes  *fleet
 }
 
 // newBenchFleet wires the fleet; observed additionally turns the node side of
@@ -49,40 +50,25 @@ func newBenchFleet(b *testing.B, nNodes int, observed bool) *benchFleet {
 	b.Helper()
 	clk := clock.NewManual(time.Unix(0, 0))
 	fabric := transport.NewInProc()
-	names := make([]string, nNodes)
-	for i := range names {
-		names[i] = fmt.Sprintf("node-%05d", i)
-		fn := newFleetNode(names[i], clk)
-		mux := transport.NewMux()
-		fn.serveOn(mux)
-		var h transport.Handler = mux
-		if observed {
-			fn.obsReg = metrics.New()
-			h = transport.REDHandling(mux, fn.obsReg)
-		}
-		stop, err := fabric.Serve(names[i], h)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(stop)
-	}
 	signer, err := sign.NewSigner("bench-base")
 	if err != nil {
 		b.Fatal(err)
 	}
+	names := fleetNames(nNodes)
+	nodes, stop := newFleet(b, fabric, clk, signer, names, observed)
+	b.Cleanup(stop)
 	base, err := core.NewBase(core.BaseConfig{
-		Name:          "bench-base",
-		Addr:          "bench-base",
-		Caller:        fabric.Node("bench-base"),
-		Signer:        signer,
-		Store:         store.NewMemory(),
-		Clock:         clk,
-		LeaseDur:      time.Minute,
-		RenewFraction: 0.5,
-		CallTimeout:   time.Hour,
-		Shards:        16,
-		RenewBatch:    64,
-		RenewWorkers:  8,
+		Name:         "bench-base",
+		Addr:         "bench-base",
+		Caller:       fabric.Node("bench-base"),
+		Signer:       signer,
+		Store:        store.NewMemory(),
+		Clock:        clk,
+		LeaseDur:     time.Minute,
+		CallTimeout:  time.Hour,
+		Shards:       16,
+		RenewBatch:   64,
+		RenewWorkers: 8,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -98,7 +84,7 @@ func newBenchFleet(b *testing.B, nNodes int, observed bool) *benchFleet {
 			b.Fatal(err)
 		}
 	}
-	return &benchFleet{clk: clk, fabric: fabric, base: base, reg: reg, names: names}
+	return &benchFleet{clk: clk, fabric: fabric, base: base, reg: reg, names: names, nodes: nodes}
 }
 
 func (f *benchFleet) adaptAll(b *testing.B) {
@@ -110,10 +96,14 @@ func (f *benchFleet) adaptAll(b *testing.B) {
 	}
 }
 
-func (f *benchFleet) releaseAll() {
+// departAll releases every node at the base and lets its leases lapse at the
+// receivers, so the next adapt round installs afresh instead of refreshing.
+func (f *benchFleet) departAll() {
 	for _, name := range f.names {
 		f.base.Release(name)
 	}
+	f.clk.Advance(2 * time.Minute) // past every lease
+	f.nodes.sweep()
 }
 
 // fleetBenchSizes picks the fleet sizes to sweep; FLEET_BENCH_NODES pins a
@@ -142,7 +132,7 @@ func BenchmarkFleetAdapt(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				f.adaptAll(b)
 				b.StopTimer()
-				f.releaseAll()
+				f.departAll()
 				b.StartTimer()
 			}
 			b.StopTimer()
@@ -213,7 +203,7 @@ func benchRenewScheduler(b *testing.B, name string, observed bool) {
 			f.base.Trace(tr)
 			f.adaptAll(b)
 			leases := f.base.ScheduledRenewals()
-			window := 30 * time.Second // LeaseDur * RenewFraction
+			window := 30 * time.Second // half the lease: the renewal period
 			runtime.GC()               // earlier sub-benchmarks' garbage is not this bench's cost
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -283,7 +273,7 @@ func BenchmarkFleetOverloadGoodput(b *testing.B) {
 			b.Cleanup(stop)
 			f.adaptAll(b)
 			leases := f.base.ScheduledRenewals()
-			window := 30 * time.Second // LeaseDur * RenewFraction
+			window := 30 * time.Second // half the lease: the renewal period
 
 			// One sample times several consecutive renewal windows, so a
 			// single scheduler hiccup is small relative to the measured work.
@@ -441,7 +431,7 @@ func writeFleetBench(b *testing.B, name string, nodes int, vals map[string]float
 	if d.Benchmarks == nil {
 		d.Benchmarks = make(map[string]map[string]float64)
 	}
-	d.Note = "fleet-scale base station benchmarks; regenerate with: go test -run '^$' -bench 'Fleet|RenewScheduler' -benchtime=1x ."
+	d.Note = "fleet-scale base station benchmarks over real receivers; regenerate with: go test -run '^$' -bench 'Fleet|RenewScheduler' -benchtime=1x ."
 	d.Go = runtime.Version()
 	key := fmt.Sprintf("%s/nodes=%d", name, nodes)
 	vals["nodes"] = float64(nodes)

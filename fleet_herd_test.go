@@ -10,7 +10,6 @@ package repro
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -41,27 +40,14 @@ func runFleetHerd(t *testing.T, seed int64, nNodes int) herdRun {
 	net := simnet.New(clk, seed)
 	defer net.Close()
 
-	names := make([]string, nNodes)
-	for i := range names {
-		names[i] = fmt.Sprintf("node-%05d", i)
-	}
-	nodes := make(map[string]*fleetNode, nNodes)
-	for _, name := range names {
-		fn := newFleetNode(name, clk)
-		mux := transport.NewMux()
-		fn.serveOn(mux)
-		stop, err := net.Serve(name, mux)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer stop()
-		nodes[name] = fn
-	}
-
 	signer, err := sign.NewSigner("fleet-base")
 	if err != nil {
 		t.Fatal(err)
 	}
+	names := fleetNames(nNodes)
+	nodes, stopNodes := newFleet(t, net, clk, signer, names, false)
+	defer stopNodes()
+
 	breaker := transport.NewBreakerSet(seed, transport.BreakerConfig{
 		Threshold: 1,
 		Cooldown:  time.Minute,
@@ -69,20 +55,19 @@ func runFleetHerd(t *testing.T, seed int64, nNodes int) herdRun {
 		Clock:     clk,
 	})
 	base, err := core.NewBase(core.BaseConfig{
-		Name:          "fleet-base",
-		Addr:          "fleet-base",
-		Caller:        net.Node("fleet-base"),
-		Signer:        signer,
-		Store:         store.NewMemory(),
-		Clock:         clk,
-		Breaker:       breaker,
-		LeaseDur:      time.Minute,
-		RenewFraction: 0.5,
-		RenewRetries:  1,
-		CallTimeout:   time.Hour, // simulated time governs
-		Shards:        16,
-		RenewBatch:    64,
-		RenewWorkers:  8,
+		Name:         "fleet-base",
+		Addr:         "fleet-base",
+		Caller:       net.Node("fleet-base"),
+		Signer:       signer,
+		Store:        store.NewMemory(),
+		Clock:        clk,
+		Breaker:      breaker,
+		LeaseDur:     time.Minute,
+		RenewRetries: 1,
+		CallTimeout:  time.Hour, // simulated time governs
+		Shards:       16,
+		RenewBatch:   64,
+		RenewWorkers: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -142,21 +127,20 @@ func runFleetHerd(t *testing.T, seed int64, nNodes int) herdRun {
 	// t=5s: the entire fleet partitions from the base. No renewals are due
 	// yet (they come due at t=30s), so nothing fails — the outage just sets
 	// up the synchronized heal.
-	clk.Advance(5 * time.Second)
+	nodes.step(t, base, 5*time.Second)
 	for _, name := range names {
 		net.PartitionBoth("fleet-base", name)
 	}
 
 	// t=25s: everything heals at once, 5 simulated seconds before the whole
 	// fleet's renewals come due together.
-	clk.Advance(20 * time.Second)
+	nodes.step(t, base, 20*time.Second)
 	net.HealAll()
 
 	drain := func(total, step time.Duration) {
 		t.Helper()
 		for elapsed := time.Duration(0); elapsed < total; elapsed += step {
-			clk.Advance(step)
-			testutil.WaitFor(t, "renewals quiesced", base.RenewalsQuiesced)
+			nodes.step(t, base, step)
 		}
 	}
 
@@ -191,7 +175,7 @@ func runFleetHerd(t *testing.T, seed int64, nNodes int) herdRun {
 	drain(105*time.Second, 15*time.Second)
 
 	// Zero renewal-driven casualties: nobody degraded, nobody departed, every
-	// lease still scheduled and every node-side deadline still in the future.
+	// lease still scheduled, and no receiver withdrew an extension on expiry.
 	if got := base.Degraded(); len(got) != 0 {
 		t.Fatalf("degraded after herd = %v, want none", got)
 	}
@@ -201,16 +185,13 @@ func runFleetHerd(t *testing.T, seed int64, nNodes int) herdRun {
 	if got := base.ScheduledRenewals(); got != wantLeases {
 		t.Fatalf("scheduled renewals after herd = %d, want %d", got, wantLeases)
 	}
-	now := clk.Now()
-	for name, fn := range nodes {
-		fn.mu.Lock()
-		for ext, g := range fn.grants {
-			if !g.deadline.After(now) {
-				t.Fatalf("lease %s/%s expired at %v (now %v): renewal lost in the herd",
-					name, ext, g.deadline, now)
-			}
+	for _, n := range nodes.nodes {
+		if got := testutil.Counter(n.reg, "ext.expiries"); got != 0 {
+			t.Fatalf("%s ext.expiries = %d: a renewal was lost in the herd", n.name, got)
 		}
-		fn.mu.Unlock()
+		if inv := n.recv.Inventory(); len(inv) != 2 {
+			t.Fatalf("%s holds %d extensions after the herd, want 2", n.name, len(inv))
+		}
 	}
 
 	// The low-priority class shed — and only it. Keepalives and mutations
@@ -248,7 +229,7 @@ func runFleetHerd(t *testing.T, seed int64, nNodes int) herdRun {
 // reproduces every shed counter bit for bit.
 func TestFleetHerdOverload(t *testing.T) {
 	seed := testutil.SeedFromEnv(t, "FLEET_SEED", fleetSeedDefault)
-	nNodes := fleetNodeCount(t)
+	nNodes := fleetSize(t)
 	t.Logf("fleet herd: %d nodes, seed %d", nNodes, seed)
 
 	first := runFleetHerd(t, seed, nNodes)

@@ -63,12 +63,11 @@ type BaseConfig struct {
 	Store  *store.Store // optional sink for monitoring records
 
 	// LeaseDur is the lease granted per pushed extension (default 10s);
-	// RenewFraction controls when renewals fire (default 0.5); RenewRetries
-	// retries failed renewals within the lease before declaring the node
-	// departed (for lossy wireless links; default 0).
-	LeaseDur      time.Duration
-	RenewFraction float64
-	RenewRetries  int
+	// renewals fire at half of it. RenewRetries retries failed renewals
+	// within the lease before declaring the node departed (for lossy
+	// wireless links; default 0).
+	LeaseDur     time.Duration
+	RenewRetries int
 	// CallTimeout bounds each RPC (default 2s). With a Policy set it bounds
 	// the whole retried call, so it should cover the policy's backoff budget.
 	CallTimeout time.Duration
@@ -110,11 +109,6 @@ type BaseConfig struct {
 	// different locks, and reconcile rounds run one goroutine per shard
 	// (default 8).
 	Shards int
-	// RenewTick is the renewal timer wheel's granularity (default
-	// LeaseDur*RenewFraction/4, so a fresh lease's first renewal lands on its
-	// familiar window*fraction instant). One wheel goroutine plus RenewWorkers
-	// workers replace the former goroutine-per-lease renewers.
-	RenewTick time.Duration
 	// RenewBatch caps how many of a node's due leases coalesce into one
 	// batched midas.renewBatch RPC (default 64). RenewWorkers bounds
 	// concurrent renew RPCs (default 1, which keeps traced scenarios
@@ -304,24 +298,18 @@ func NewBase(cfg BaseConfig) (*Base, error) {
 	if cfg.LeaseDur <= 0 {
 		cfg.LeaseDur = 10 * time.Second
 	}
-	if cfg.RenewFraction <= 0 || cfg.RenewFraction >= 1 {
-		cfg.RenewFraction = 0.5
-	}
 	if cfg.CallTimeout <= 0 {
 		cfg.CallTimeout = 2 * time.Second
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 8
 	}
-	if cfg.RenewTick <= 0 {
-		// A quarter of the renewal window: a fresh lease's first renewal
-		// quantises to exactly window*fraction (4 ticks), and the retry gap
-		// for small retry counts stays inside the remaining slack.
-		cfg.RenewTick = time.Duration(float64(cfg.LeaseDur) * cfg.RenewFraction / 4)
-	}
-	if cfg.RenewTick < time.Millisecond {
-		cfg.RenewTick = time.Millisecond
-	}
+	// The renewal wheel ticks at a quarter of the renewal period (half the
+	// lease): a fresh lease's first renewal quantises to exactly that period
+	// (4 ticks), and the retry gap for small retry counts stays inside the
+	// remaining slack. One wheel goroutine plus RenewWorkers workers keep
+	// every lease alive.
+	renewTick := max(cfg.LeaseDur/8, time.Millisecond)
 	b := &Base{
 		cfg: cfg,
 		// nil Policy / nil Breaker leave the caller bare. The breaker wraps
@@ -333,8 +321,7 @@ func NewBase(cfg BaseConfig) (*Base, error) {
 		lastReconcile: make(map[string]ReconcileResult),
 	}
 	b.sched = lease.NewScheduler(cfg.Clock, lease.SchedulerConfig{
-		Tick:     cfg.RenewTick,
-		Fraction: cfg.RenewFraction,
+		Tick:     renewTick,
 		Retries:  cfg.RenewRetries,
 		MaxBatch: cfg.RenewBatch,
 		Workers:  cfg.RenewWorkers,

@@ -88,15 +88,14 @@ func newClusterOn(t *testing.T, leaseDur time.Duration, clk clock.Clock) *cluste
 	}
 	c.baseSt = store.NewMemory()
 	c.base, err = NewBase(BaseConfig{
-		Name:          "base-1",
-		Addr:          "base-1",
-		Caller:        c.fabric.Node("base-1"),
-		Signer:        signer,
-		Clock:         clk,
-		Store:         c.baseSt,
-		LeaseDur:      leaseDur,
-		RenewFraction: 0.5,
-		CallTimeout:   500 * time.Millisecond,
+		Name:        "base-1",
+		Addr:        "base-1",
+		Caller:      c.fabric.Node("base-1"),
+		Signer:      signer,
+		Clock:       clk,
+		Store:       c.baseSt,
+		LeaseDur:    leaseDur,
+		CallTimeout: 500 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -368,13 +367,12 @@ func TestRoamingHandoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	base2, err := NewBase(BaseConfig{
-		Name:          "base-2",
-		Addr:          "base-2",
-		Caller:        c.fabric.Node("base-2"),
-		Signer:        signer2,
-		LeaseDur:      100 * time.Millisecond,
-		RenewFraction: 0.5,
-		CallTimeout:   500 * time.Millisecond,
+		Name:        "base-2",
+		Addr:        "base-2",
+		Caller:      c.fabric.Node("base-2"),
+		Signer:      signer2,
+		LeaseDur:    100 * time.Millisecond,
+		CallTimeout: 500 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -428,8 +426,8 @@ func TestLossyLinkSurvivesWithRetries(t *testing.T) {
 		base2, err := NewBase(BaseConfig{
 			Name: "base-1b", Addr: "base-1", Caller: c.fabric.Node("base-1"),
 			Signer: c.base.Signer(), LeaseDur: 120 * time.Millisecond,
-			RenewFraction: 0.5, RenewRetries: retries,
-			CallTimeout: 300 * time.Millisecond,
+			RenewRetries: retries,
+			CallTimeout:  300 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

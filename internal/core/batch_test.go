@@ -115,18 +115,17 @@ func newStormBase(t *testing.T, clk clock.Clock, caller transport.Caller, breake
 		t.Fatal(err)
 	}
 	b, err := NewBase(BaseConfig{
-		Name:          "hall-1",
-		Addr:          "base-1",
-		Caller:        caller,
-		Signer:        signer,
-		Clock:         clk,
-		Breaker:       breaker,
-		LeaseDur:      time.Minute,
-		RenewFraction: 0.5,
-		RenewRetries:  1,
-		RenewBatch:    batch,
-		RenewWorkers:  workers,
-		CallTimeout:   time.Hour,
+		Name:         "hall-1",
+		Addr:         "base-1",
+		Caller:       caller,
+		Signer:       signer,
+		Clock:        clk,
+		Breaker:      breaker,
+		LeaseDur:     time.Minute,
+		RenewRetries: 1,
+		RenewBatch:   batch,
+		RenewWorkers: workers,
+		CallTimeout:  time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -194,17 +194,16 @@ func newStormBaseUninstrumented(t *testing.T, clk clock.Clock, caller transport.
 		t.Fatal(err)
 	}
 	b, err := NewBase(BaseConfig{
-		Name:          "hall-2",
-		Addr:          "base-2",
-		Caller:        caller,
-		Signer:        signer,
-		Clock:         clk,
-		LeaseDur:      time.Minute,
-		RenewFraction: 0.5,
-		RenewRetries:  1,
-		RenewBatch:    8,
-		RenewWorkers:  2,
-		CallTimeout:   time.Hour,
+		Name:         "hall-2",
+		Addr:         "base-2",
+		Caller:       caller,
+		Signer:       signer,
+		Clock:        clk,
+		LeaseDur:     time.Minute,
+		RenewRetries: 1,
+		RenewBatch:   8,
+		RenewWorkers: 2,
+		CallTimeout:  time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)

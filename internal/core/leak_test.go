@@ -100,14 +100,13 @@ func TestNoRenewerLeakWhenNodeDepartsMidPush(t *testing.T) {
 				release:    make(chan struct{}),
 			}
 			b, err := NewBase(BaseConfig{
-				Name:          "hall-1",
-				Addr:          "base-1",
-				Caller:        caller,
-				Signer:        signer,
-				Clock:         clk,
-				LeaseDur:      time.Minute,
-				RenewFraction: 0.5,
-				CallTimeout:   time.Hour,
+				Name:        "hall-1",
+				Addr:        "base-1",
+				Caller:      caller,
+				Signer:      signer,
+				Clock:       clk,
+				LeaseDur:    time.Minute,
+				CallTimeout: time.Hour,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -184,14 +183,13 @@ func TestNoScheduleLeakWhenNodeDepartsMidBatchedPush(t *testing.T) {
 				release:    make(chan struct{}),
 			}
 			b, err := NewBase(BaseConfig{
-				Name:          "hall-1",
-				Addr:          "base-1",
-				Caller:        caller,
-				Signer:        signer,
-				Clock:         clk,
-				LeaseDur:      time.Minute,
-				RenewFraction: 0.5,
-				CallTimeout:   time.Hour,
+				Name:        "hall-1",
+				Addr:        "base-1",
+				Caller:      caller,
+				Signer:      signer,
+				Clock:       clk,
+				LeaseDur:    time.Minute,
+				CallTimeout: time.Hour,
 			})
 			if err != nil {
 				t.Fatal(err)

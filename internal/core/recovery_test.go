@@ -179,16 +179,15 @@ func newRecoveryBase(t testing.TB, fabric *transport.InProc, clk clock.Clock, si
 		t.Cleanup(func() { j.Close() })
 	}
 	b, err := NewBase(BaseConfig{
-		Name:          "hall-1",
-		Addr:          "base-1",
-		Caller:        fabric.Node("base-1"),
-		Signer:        signer,
-		Clock:         clk,
-		LeaseDur:      time.Minute,
-		RenewFraction: 0.5,
-		CallTimeout:   500 * time.Millisecond,
-		Journal:       j,
-		Breaker:       breaker,
+		Name:        "hall-1",
+		Addr:        "base-1",
+		Caller:      fabric.Node("base-1"),
+		Signer:      signer,
+		Clock:       clk,
+		LeaseDur:    time.Minute,
+		CallTimeout: 500 * time.Millisecond,
+		Journal:     j,
+		Breaker:     breaker,
 	})
 	if err != nil {
 		t.Fatal(err)

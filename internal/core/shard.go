@@ -81,28 +81,6 @@ func (t *nodeTable) degradedAddrs() []string {
 	return out
 }
 
-// allAdapted snapshots every adapted node.
-func (t *nodeTable) allAdapted() []*adaptedNode {
-	var out []*adaptedNode
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		for _, n := range s.adapted {
-			out = append(out, n)
-		}
-		s.mu.Unlock()
-	}
-	return out
-}
-
-// get returns the adapted node at addr, or nil.
-func (t *nodeTable) get(addr string) *adaptedNode {
-	s := t.shard(addr)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.adapted[addr]
-}
-
 // clear empties every shard and returns how many nodes were adapted and
 // degraded.
 func (t *nodeTable) clear() (adapted, degraded int) {

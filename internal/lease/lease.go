@@ -276,8 +276,9 @@ func (g *Grantor) Stop() {
 // RenewFunc renews a lease at its (possibly remote) grantor.
 type RenewFunc func(id ID, d time.Duration) (Lease, error)
 
-// renewFraction is the share of the lease a Renewer waits before renewing,
-// leaving the other half as slack for the renewal round trip.
+// renewFraction is the share of the lease a Renewer or Scheduler waits
+// before renewing, leaving the other half as slack for the renewal round
+// trip and its retries.
 const renewFraction = 0.5
 
 // Renewer keeps one lease alive from the holder side, renewing at half the

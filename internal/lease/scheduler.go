@@ -28,17 +28,17 @@ type BatchResult struct {
 // per-item results decide.
 type BatchRenewFunc func(node string, items []BatchItem) ([]BatchResult, error)
 
-// SchedulerConfig assembles a renewal Scheduler.
+// wheelSlots is the size of the scheduler's timer wheel.
+const wheelSlots = 512
+
+// SchedulerConfig assembles a renewal Scheduler. A renewal fires at half the
+// lease window, like a Renewer's.
 type SchedulerConfig struct {
-	// Tick is the timer-wheel granularity (default 10ms); Slots the wheel
-	// size (default 512).
-	Tick  time.Duration
-	Slots int
-	// Fraction controls when a renewal fires relative to the lease duration
-	// (default 0.5); Retries how many in-lease retries follow a failed
-	// renewal, spaced across the remaining slack like Renewer's.
-	Fraction float64
-	Retries  int
+	// Tick is the timer-wheel granularity (default 10ms).
+	Tick time.Duration
+	// Retries is how many in-lease retries follow a failed renewal, spaced
+	// evenly across the half of the window left before expiry.
+	Retries int
 	// MaxBatch caps how many leases ride in one batched renew call (default
 	// 64); Workers how many renew calls may be in flight at once (default 1,
 	// which keeps traffic ordering deterministic for traced scenarios).
@@ -55,9 +55,9 @@ type SchedulerConfig struct {
 // Scheduler keeps every lease a base holds alive using one hashed timer
 // wheel and a small worker pool, instead of one goroutine per lease. All of
 // a node's leases that come due in the same wheel advance coalesce into one
-// batched renew call (chunked at MaxBatch). Retry pacing and terminal
-// failure semantics mirror Renewer's: a failed renewal gets Retries more
-// attempts spaced slack/(retries+1) apart, then the node is reported failed.
+// batched renew call (chunked at MaxBatch). A failed renewal gets Retries
+// more attempts spaced slack/(retries+1) apart, then the node is reported
+// failed.
 type Scheduler struct {
 	cfg   SchedulerConfig
 	wheel *clock.Wheel
@@ -102,12 +102,6 @@ func NewScheduler(clk clock.Clock, cfg SchedulerConfig) *Scheduler {
 	if cfg.Tick <= 0 {
 		cfg.Tick = 10 * time.Millisecond
 	}
-	if cfg.Slots <= 0 {
-		cfg.Slots = 512
-	}
-	if cfg.Fraction <= 0 || cfg.Fraction >= 1 {
-		cfg.Fraction = 0.5
-	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 64
 	}
@@ -120,7 +114,7 @@ func NewScheduler(clk clock.Clock, cfg SchedulerConfig) *Scheduler {
 		byNode:  make(map[string]map[ID]*schedEntry),
 	}
 	s.qcond = sync.NewCond(&s.mu)
-	s.wheel = clock.NewWheel(clk, cfg.Tick, cfg.Slots)
+	s.wheel = clock.NewWheel(clk, cfg.Tick, wheelSlots)
 	s.wheel.OnFlush(s.flush)
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -146,8 +140,8 @@ func (s *Scheduler) Instrument(reg *metrics.Registry) {
 	s.scheduled.Set(int64(len(s.entries)))
 }
 
-// Add tracks one lease held at node. The first renewal fires at
-// window*fraction from now (the full lease duration on a fresh grant, the
+// Add tracks one lease held at node. The first renewal fires at half the
+// window from now (the full lease duration on a fresh grant, the
 // remaining window on recovery); a non-positive window renews on the next
 // tick. Re-adding an existing (node, id) pair resets its schedule.
 func (s *Scheduler) Add(node string, id ID, window time.Duration) {
@@ -170,7 +164,7 @@ func (s *Scheduler) Add(node string, id ID, window time.Duration) {
 		s.byNode[node] = make(map[ID]*schedEntry)
 	}
 	s.byNode[node][id] = e
-	s.armLocked(e, time.Duration(float64(window)*s.cfg.Fraction))
+	s.armLocked(e, time.Duration(float64(window)*renewFraction))
 	s.gaugeLocked()
 }
 
@@ -343,8 +337,8 @@ func (s *Scheduler) worker() {
 	}
 }
 
-// settle applies one renew call's outcome: successes re-arm at
-// granted*fraction, failures retry across the slack, exhausted retries drop
+// settle applies one renew call's outcome: successes re-arm at half the
+// granted window, failures retry across the slack, exhausted retries drop
 // the lease and report the node failed (once per call).
 func (s *Scheduler) settle(node string, live []*schedEntry, results []BatchResult, callErr error) {
 	byID := make(map[ID]BatchResult, len(results))
@@ -381,17 +375,16 @@ func (s *Scheduler) settle(node string, live []*schedEntry, results []BatchResul
 				e.granted = granted
 				e.attempts = 0
 				s.m.renews.Inc()
-				s.armLocked(e, time.Duration(float64(granted)*s.cfg.Fraction))
+				s.armLocked(e, time.Duration(float64(granted)*renewFraction))
 				oks = append(oks, renewed{id: e.key.id, granted: granted})
 				continue
 			}
 		}
 		if e.attempts < s.cfg.Retries {
-			// Space the retries across the slack remaining before expiry,
-			// exactly like Renewer.renewWithRetry.
+			// Space the retries across the slack remaining before expiry.
 			e.attempts++
 			s.m.retries.Inc()
-			slack := time.Duration(float64(e.granted) * (1 - s.cfg.Fraction))
+			slack := time.Duration(float64(e.granted) * (1 - renewFraction))
 			gap := slack / time.Duration(s.cfg.Retries+1)
 			if gap <= 0 {
 				gap = time.Millisecond

@@ -82,7 +82,6 @@ func TestSchedulerCoalescesPerNode(t *testing.T) {
 	h := newSchedHarness(10 * time.Second)
 	s := NewScheduler(clk, SchedulerConfig{
 		Tick:     time.Second,
-		Fraction: 0.5,
 		MaxBatch: 64,
 		Renew:    h.renew,
 		OnRenew:  h.onRenew,
@@ -126,7 +125,6 @@ func TestSchedulerChunksAtMaxBatch(t *testing.T) {
 	h := newSchedHarness(10 * time.Second)
 	s := NewScheduler(clk, SchedulerConfig{
 		Tick:     time.Second,
-		Fraction: 0.5,
 		MaxBatch: 16,
 		Renew:    h.renew,
 		OnRenew:  h.onRenew,
@@ -157,7 +155,6 @@ func TestSchedulerRetriesThenFailsNode(t *testing.T) {
 	h.fail["node-a"] = errors.New("unreachable")
 	s := NewScheduler(clk, SchedulerConfig{
 		Tick:       time.Second,
-		Fraction:   0.5,
 		Retries:    2,
 		Renew:      h.renew,
 		OnRenew:    h.onRenew,
@@ -207,8 +204,7 @@ func TestSchedulerCancelNodeDropsInFlight(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan string, 8)
 	s := NewScheduler(clk, SchedulerConfig{
-		Tick:     time.Second,
-		Fraction: 0.5,
+		Tick: time.Second,
 		Renew: func(node string, items []BatchItem) ([]BatchResult, error) {
 			started <- node
 			<-release

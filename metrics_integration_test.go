@@ -33,14 +33,13 @@ func TestMetricsLeaseLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	base, err := core.NewBase(core.BaseConfig{
-		Name:          "base-1",
-		Addr:          "base-1",
-		Caller:        fabric.Node("base-1"),
-		Signer:        signer,
-		Store:         store.NewMemory(),
-		LeaseDur:      100 * time.Millisecond,
-		RenewFraction: 0.5,
-		RenewRetries:  3,
+		Name:         "base-1",
+		Addr:         "base-1",
+		Caller:       fabric.Node("base-1"),
+		Signer:       signer,
+		Store:        store.NewMemory(),
+		LeaseDur:     100 * time.Millisecond,
+		RenewRetries: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -48,7 +48,6 @@ func (w *simWorld) newRecoveryBase(name string, signer *sign.Signer, o recoveryB
 		Signer:         signer,
 		Clock:          w.clk,
 		LeaseDur:       10 * time.Second,
-		RenewFraction:  0.5,
 		RenewRetries:   2,
 		CallTimeout:    time.Hour, // the policy and the simulated clock govern
 		Policy:         pol,

@@ -16,15 +16,12 @@ import (
 	"repro/internal/aop"
 	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/lvm"
 	"repro/internal/metrics"
 	"repro/internal/registry"
-	"repro/internal/sandbox"
 	"repro/internal/sign"
 	"repro/internal/simnet"
 	"repro/internal/testutil"
 	"repro/internal/transport"
-	"repro/internal/weave"
 )
 
 // scenarioSeed returns the fault seed: SIMNET_SEED when set, a random one
@@ -82,39 +79,17 @@ func (n *scenarioNode) counter(name string) uint64 {
 func (w *simWorld) newNode(name string, trusted *sign.Signer) *scenarioNode {
 	w.t.Helper()
 	n := &scenarioNode{name: name, reg: metrics.New()}
-	trust := sign.NewTrustStore()
-	trust.Trust(trusted.Name, trusted.PublicKey())
 	builtins := core.NewBuiltins()
-	builtins.Register("noop", func(*core.Env, map[string]string) (aop.Body, error) {
-		return aop.BodyFunc(func(*aop.Context) error { return nil }), nil
-	})
 	builtins.Register("tracked", func(*core.Env, map[string]string) (aop.Body, error) {
 		return &trackedBody{node: n}, nil
 	})
-	receiver, err := core.NewReceiver(core.ReceiverConfig{
-		NodeName: name,
-		Addr:     name,
-		Weaver:   weave.New(),
-		Trust:    trust,
-		Policy:   sandbox.AllowAll(),
-		Clock:    w.clk,
-		Host:     lvm.HostMap{},
-		Builtins: builtins,
+	receiver, stop := serveNode(w.t, w.net, testNode{
+		name: name, trusted: trusted, clk: w.clk, reg: n.reg, builtins: builtins,
 	})
-	if err != nil {
-		w.t.Fatal(err)
-	}
+	w.t.Cleanup(stop)
 	n.receiver = receiver
-	receiver.Instrument(n.reg)
 	receiver.Grantor().Start(time.Second)
 	w.t.Cleanup(receiver.Grantor().Stop)
-	mux := transport.NewMux()
-	receiver.ServeOn(mux)
-	stop, err := w.net.Serve(name, mux)
-	if err != nil {
-		w.t.Fatal(err)
-	}
-	w.t.Cleanup(stop)
 	return n
 }
 
@@ -155,16 +130,15 @@ func (w *simWorld) newBase(name string, signer *sign.Signer) *scenarioBase {
 	b := &scenarioBase{name: name, reg: metrics.New(), signer: signer, pol: pol}
 	pol.Instrument(b.reg)
 	b.base, err = core.NewBase(core.BaseConfig{
-		Name:          name,
-		Addr:          name,
-		Caller:        w.net.Node(name),
-		Signer:        signer,
-		Clock:         w.clk,
-		LeaseDur:      10 * time.Second,
-		RenewFraction: 0.5,
-		RenewRetries:  2,
-		CallTimeout:   time.Hour, // the policy and the simulated clock govern
-		Policy:        pol,
+		Name:         name,
+		Addr:         name,
+		Caller:       w.net.Node(name),
+		Signer:       signer,
+		Clock:        w.clk,
+		LeaseDur:     10 * time.Second,
+		RenewRetries: 2,
+		CallTimeout:  time.Hour, // the policy and the simulated clock govern
+		Policy:       pol,
 	})
 	if err != nil {
 		w.t.Fatal(err)
@@ -579,4 +553,56 @@ func TestScenarioDeterministicReplay(t *testing.T) {
 	if !reflect.DeepEqual(node1, node2) {
 		t.Fatalf("same seed, different node metrics:\n%+v\n%+v", node1, node2)
 	}
+}
+
+// Scenario 10 — lost registration: the lookup forgets the node's
+// registration, once because it was deregistered under the node (as a lookup
+// restart does) and once because a partition outlasted the lease and the
+// lookup swept it. Each time the node registers again within two lease
+// windows of the lookup answering.
+func TestScenarioLostRegistrationReadvertised(t *testing.T) {
+	w := newSimWorld(t)
+	lookup := registry.NewLookup(w.clk)
+	lookupMux := transport.NewMux()
+	lookupSrv := registry.NewServer("lookup-1", lookup, lookupMux, w.net.Node("lookup-1"), w.clk)
+	t.Cleanup(lookupSrv.Close)
+	stop, err := w.net.Serve("lookup-1", lookupMux)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(stop)
+	signer, err := sign.NewSigner("base-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := w.newNode("robot1", signer)
+
+	const leaseDur = 10 * time.Second
+	stopAdvertise, err := n.receiver.Advertise(
+		&registry.Client{Caller: w.net.Node("robot1"), Addr: "lookup-1", Timeout: time.Hour},
+		leaseDur, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(stopAdvertise)
+	listed := func() int { return len(lookup.Find(registry.Template{Name: core.AdaptationService})) }
+	relisted := func(after string) {
+		t.Helper()
+		w.advance(2*leaseDur, time.Second)
+		waitFor(t, "node listed again "+after, func() bool { return listed() == 1 })
+	}
+
+	if err := lookup.Deregister("robot1"); err != nil {
+		t.Fatal(err)
+	}
+	relisted("after the lookup forgot it")
+
+	w.net.PartitionBoth("robot1", "lookup-1")
+	w.advance(3*leaseDur, time.Second)
+	lookup.ExpireNow()
+	if got := listed(); got != 0 {
+		t.Fatalf("lookup lists %d nodes after a partition three leases long, want 0", got)
+	}
+	w.net.HealAll()
+	relisted("after the partition healed")
 }

@@ -7,16 +7,12 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/aop"
 	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/lvm"
 	"repro/internal/metrics"
-	"repro/internal/sandbox"
 	"repro/internal/sign"
 	"repro/internal/trace"
 	"repro/internal/transport"
-	"repro/internal/weave"
 )
 
 // TestSoakAdaptDepartHeapFlat runs many adapt→depart cycles over a fixed pool
@@ -72,34 +68,9 @@ func TestSoakAdaptDepartHeapFlat(t *testing.T) {
 	for i := range names {
 		name := fmt.Sprintf("robot-%d", i)
 		names[i] = name
-		trust := sign.NewTrustStore()
-		trust.Trust(signer.Name, signer.PublicKey())
-		builtins := core.NewBuiltins()
-		builtins.Register("noop", func(*core.Env, map[string]string) (aop.Body, error) {
-			return aop.BodyFunc(func(*aop.Context) error { return nil }), nil
-		})
-		r, err := core.NewReceiver(core.ReceiverConfig{
-			NodeName: name,
-			Addr:     name,
-			Weaver:   weave.New(),
-			Trust:    trust,
-			Policy:   sandbox.AllowAll(),
-			Clock:    clk,
-			Host:     lvm.HostMap{},
-			Builtins: builtins,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Instrument(metrics.New())
-		r.Trace(tr)
-		mux := transport.NewMux()
-		r.ServeOn(mux)
-		stop, err := fabric.Serve(name, mux)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r, stop := serveNode(t, fabric, testNode{name: name, trusted: signer, clk: clk, reg: metrics.New()})
 		defer stop()
+		r.Trace(tr)
 		nodes[name] = r
 	}
 

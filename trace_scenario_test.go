@@ -64,15 +64,14 @@ func newTracedBase(w *simWorld, name string, tr *trace.Tracer, caller transport.
 	pol.MaxAttempts = 8
 	b := &scenarioBase{name: name, reg: metrics.New(), signer: signer, pol: pol}
 	base, err := core.NewBase(core.BaseConfig{
-		Name:          name,
-		Addr:          name,
-		Caller:        caller,
-		Signer:        signer,
-		Clock:         w.clk,
-		LeaseDur:      10 * time.Second,
-		RenewFraction: 0.5,
-		CallTimeout:   time.Hour,
-		Policy:        pol,
+		Name:        name,
+		Addr:        name,
+		Caller:      caller,
+		Signer:      signer,
+		Clock:       w.clk,
+		LeaseDur:    10 * time.Second,
+		CallTimeout: time.Hour,
+		Policy:      pol,
 	})
 	if err != nil {
 		w.t.Fatal(err)

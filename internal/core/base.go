@@ -170,7 +170,7 @@ type Base struct {
 	lastReconcile map[string]ReconcileResult
 	stats         DriftCounters
 	neighbors     []string
-	watches       []*lease.Renewer // keep WatchLookup's leased watches alive
+	watches       []*keepalive // keep WatchLookup's leased watches alive
 	reg           *metrics.Registry
 	m             baseMetrics
 	tracer        *trace.Tracer
@@ -716,7 +716,7 @@ func (b *Base) Close() {
 		<-done
 	}
 	for _, w := range watches {
-		w.Stop()
+		w.stop()
 	}
 	adapted, degraded := b.nodes.clear()
 	b.sched.Stop()
@@ -1050,37 +1050,46 @@ func (b *Base) ServeOn(mux *transport.Mux) {
 // WatchLookup subscribes the base to adaptation-service arrivals at the
 // lookup service behind client, and adapts all already-registered nodes. The
 // watch is leased for watchDur and renewed at half its lease until Close, as
-// Receiver.Advertise keeps a registration alive. The base must already be
-// served on its own mux (ServeOn) so the watcher callback can reach it.
+// Receiver.Advertise keeps a registration alive. When the lookup loses the
+// watch (it restarted, or swept the lease during a partition), the base
+// watches and adapts the registered nodes again as soon as the lookup
+// answers, trying once per renewal period. The base must already be served
+// on its own mux (ServeOn) so the watcher callback can reach it. It returns
+// the ID of the first watch.
 func (b *Base) WatchLookup(client *registry.Client, watchDur time.Duration) (string, error) {
-	watchID, err := client.Watch(registry.Template{Name: AdaptationService}, watchDur, b.cfg.Addr, MethodBaseOnService)
-	if err != nil {
-		return "", fmt.Errorf("core: watch lookup: %w", err)
+	tmpl := registry.Template{Name: AdaptationService}
+	watch := func() (string, error) {
+		id, err := client.Watch(tmpl, watchDur, b.cfg.Addr, MethodBaseOnService)
+		if err != nil {
+			return "", fmt.Errorf("core: watch lookup: %w", err)
+		}
+		items, err := client.Find(tmpl)
+		if err != nil {
+			_ = client.Unwatch(id)
+			return "", fmt.Errorf("core: initial find: %w", err)
+		}
+		for _, it := range items {
+			go func(it registry.ServiceItem) { _ = b.AdaptNode(context.TODO(), it.ID, it.Addr) }(it)
+		}
+		return id, nil
 	}
-	renewer := lease.NewRenewer(b.cfg.Clock,
-		lease.Lease{ID: lease.ID(watchID), Duration: watchDur},
-		func(id lease.ID, d time.Duration) (lease.Lease, error) {
-			if err := client.RenewWatch(string(id), d); err != nil {
-				return lease.Lease{}, err
-			}
-			return lease.Lease{ID: id, Duration: d}, nil
-		}, nil)
+	renew := func(id string) error { return client.RenewWatch(id, watchDur) }
 	b.mu.Lock()
-	if b.closed.Load() {
-		b.mu.Unlock()
-		return watchID, fmt.Errorf("core: base %s is closed", b.cfg.Name)
-	}
-	renewer.Instrument(b.reg)
-	renewer.Trace(b.tracer)
-	renewer.Start()
-	b.watches = append(b.watches, renewer)
+	reg, tr := b.reg, b.tracer
 	b.mu.Unlock()
-	items, err := client.Find(registry.Template{Name: AdaptationService})
+	k, watchID, err := startKeepalive(b.cfg.Clock, watchDur, reg, tr, watch, renew)
 	if err != nil {
-		return watchID, fmt.Errorf("core: initial find: %w", err)
+		return "", err
 	}
-	for _, it := range items {
-		go func(it registry.ServiceItem) { _ = b.AdaptNode(context.TODO(), it.ID, it.Addr) }(it)
+	b.mu.Lock()
+	closed := b.closed.Load()
+	if !closed {
+		b.watches = append(b.watches, k)
+	}
+	b.mu.Unlock()
+	if closed {
+		k.stop()
+		return watchID, fmt.Errorf("core: base %s is closed", b.cfg.Name)
 	}
 	return watchID, nil
 }

@@ -672,94 +672,36 @@ type ShutdownBody interface {
 // lookup loses the registration (it restarted, or swept the lease during a
 // partition), the node registers again as soon as the lookup answers,
 // trying once per renewal period. The returned stop function deregisters.
+//
+// Each registration roots the trace a whole adaptation hangs off: the lookup
+// stamps the discovery.advertise span context on the watcher event, the base
+// adapts inside it, and the pushes/weaves/renewals that follow join it.
 func (r *Receiver) Advertise(client *registry.Client, dur time.Duration, attrs map[string]string) (func(), error) {
-	a := &advertisement{r: r, client: client, dur: dur, stop: make(chan struct{}), item: registry.ServiceItem{
+	item := registry.ServiceItem{
 		ID:    r.cfg.NodeName,
 		Name:  AdaptationService,
 		Addr:  r.cfg.Addr,
 		Attrs: attrs,
-	}}
-	if err := a.register(); err != nil {
+	}
+	register := func() (string, error) {
+		ctx, sp := r.traceRef().StartSpan(context.Background(), "discovery.advertise")
+		sp.Tag("node", r.cfg.NodeName)
+		id, err := client.Register(ctx, item, dur)
+		sp.End(err)
+		return string(id), err
+	}
+	renew := func(id string) error { return client.Renew(lease.ID(id), dur) }
+	r.mu.Lock()
+	reg, tr := r.reg, r.tracer
+	r.mu.Unlock()
+	k, _, err := startKeepalive(r.cfg.Clock, dur, reg, tr, register, renew)
+	if err != nil {
 		return nil, fmt.Errorf("core: advertise: %w", err)
 	}
-	return a.close, nil
-}
-
-// advertisement keeps one registration alive at a lookup.
-type advertisement struct {
-	r      *Receiver
-	client *registry.Client
-	item   registry.ServiceItem
-	dur    time.Duration
-	stop   chan struct{} // closed by close
-
-	mu      sync.Mutex
-	renewer *lease.Renewer // renews the current registration
-	stopped bool
-}
-
-// register registers the node and, unless close ran meanwhile, renews the
-// registration from then on. The advertisement roots the trace a whole
-// adaptation hangs off: the lookup stamps its span context on the watcher
-// event, the base adapts inside it, and the pushes/weaves/renewals that
-// follow join it.
-func (a *advertisement) register() error {
-	ctx, sp := a.r.traceRef().StartSpan(context.Background(), "discovery.advertise")
-	sp.Tag("node", a.r.cfg.NodeName)
-	id, err := a.client.Register(ctx, a.item, a.dur)
-	sp.End(err)
-	if err != nil {
-		return err
-	}
-	renewer := lease.NewRenewer(a.r.cfg.Clock,
-		lease.Lease{ID: id, Duration: a.dur},
-		func(id lease.ID, d time.Duration) (lease.Lease, error) {
-			if err := a.client.Renew(id, d); err != nil {
-				return lease.Lease{}, err
-			}
-			return lease.Lease{ID: id, Duration: d}, nil
-		}, a.lost)
-	a.r.mu.Lock()
-	reg, tr := a.r.reg, a.r.tracer
-	a.r.mu.Unlock()
-	renewer.Instrument(reg)
-	renewer.Trace(tr)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.stopped {
-		a.renewer = renewer
-		renewer.Start()
-	}
-	return nil
-}
-
-// lost runs on the failed renewer's goroutine once the lookup stops renewing
-// the registration: it registers again once per renewal period until the
-// lookup answers or close runs. close closes stop before stopping that
-// renewer, whose Stop waits for lost to return.
-func (a *advertisement) lost(error) {
-	for a.register() != nil {
-		select {
-		case <-a.stop:
-			return
-		case <-a.r.cfg.Clock.After(a.dur / 2):
-		}
-	}
-}
-
-// close stops renewing and re-registering, then deregisters the node.
-func (a *advertisement) close() {
-	a.mu.Lock()
-	if a.stopped {
-		a.mu.Unlock()
-		return
-	}
-	a.stopped = true
-	close(a.stop)
-	renewer := a.renewer
-	a.mu.Unlock()
-	renewer.Stop()
-	_ = a.client.Deregister(a.item.ID)
+	return sync.OnceFunc(func() {
+		k.stop()
+		_ = client.Deregister(item.ID)
+	}), nil
 }
 
 // RPC method names served by a receiver (the batch methods are in batch.go).

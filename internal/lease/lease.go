@@ -273,109 +273,6 @@ func (g *Grantor) Stop() {
 	}
 }
 
-// RenewFunc renews a lease at its (possibly remote) grantor.
-type RenewFunc func(id ID, d time.Duration) (Lease, error)
-
-// renewFraction is the share of the lease a Renewer or Scheduler waits
-// before renewing, leaving the other half as slack for the renewal round
-// trip and its retries.
-const renewFraction = 0.5
-
-// Renewer keeps one lease alive from the holder side, renewing at half the
-// lease duration. When a renewal fails, OnFail runs once and the renewer
-// stops.
-type Renewer struct {
-	clk    clock.Clock
-	renew  RenewFunc
-	onFail func(error)
-	lease  Lease
-	m      renewerMetrics
-	tracer *trace.Tracer
-
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
-}
-
-// renewerMetrics counts holder-side renewal traffic; nil-safe until
-// Instrument. Only the Scheduler retries within a lease, so only it sets
-// retries.
-type renewerMetrics struct {
-	renews   *metrics.Counter
-	retries  *metrics.Counter
-	failures *metrics.Counter
-}
-
-// Instrument records the renewals this holder sends and terminal renewal
-// failures. It must be called before Start. A nil reg is a no-op.
-func (r *Renewer) Instrument(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	r.m = renewerMetrics{
-		renews:   reg.Counter("lease.renews_sent"),
-		failures: reg.Counter("lease.renew_failures"),
-	}
-}
-
-// NewRenewer returns a renewer for l.
-func NewRenewer(clk clock.Clock, l Lease, renew RenewFunc, onFail func(error)) *Renewer {
-	if clk == nil {
-		clk = clock.Real{}
-	}
-	return &Renewer{
-		clk:    clk,
-		renew:  renew,
-		onFail: onFail,
-		lease:  l,
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-}
-
-// Trace logs holder-side terminal renewal failures to tr's structured event
-// ring under the "lease" component. Like Instrument it must be called before
-// Start. A nil tr is a no-op.
-func (r *Renewer) Trace(tr *trace.Tracer) {
-	r.tracer = tr
-}
-
-// Start launches the renewal loop.
-func (r *Renewer) Start() {
-	go func() {
-		defer close(r.done)
-		for {
-			wait := time.Duration(float64(r.lease.Duration) * renewFraction)
-			if wait <= 0 {
-				wait = time.Millisecond
-			}
-			select {
-			case <-r.stop:
-				return
-			case <-r.clk.After(wait):
-			}
-			l, err := r.renew(r.lease.ID, r.lease.Duration)
-			if err != nil {
-				r.m.failures.Inc()
-				r.tracer.Eventf(nil, "lease", "renewal of %s failed for good: %v", r.lease.ID, err)
-				if r.onFail != nil {
-					r.onFail(err)
-				}
-				return
-			}
-			r.m.renews.Inc()
-			r.lease = l
-		}
-	}()
-}
-
-// Stop halts renewal and waits for the loop to exit. Safe to call multiple
-// times.
-func (r *Renewer) Stop() {
-	r.once.Do(func() { close(r.stop) })
-	<-r.done
-}
-
 func randomID() string {
 	var b [12]byte
 	if _, err := rand.Read(b[:]); err != nil {

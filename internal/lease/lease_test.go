@@ -103,52 +103,26 @@ func TestGrantorSweeper(t *testing.T) {
 	}
 }
 
-// renewAt adapts g.Renew to the holder-side RenewFunc.
-func renewAt(g *Grantor) RenewFunc {
-	return func(id ID, d time.Duration) (Lease, error) { return g.Renew(context.Background(), id, d) }
-}
+// A renewal arriving exactly at the expiry instant is still valid: the lease
+// lapses only strictly after its expiry.
+func TestRenewExactlyAtExpiry(t *testing.T) {
+	clk := clock.NewManual(time.Unix(0, 0))
+	g := NewGrantor(clk)
+	l := g.Grant(context.Background(), 10*time.Second, nil)
 
-func TestRenewerKeepsAlive(t *testing.T) {
-	g := NewGrantor(clock.Real{})
-	expired := make(chan ID, 1)
-	l := g.Grant(context.Background(), 20*time.Millisecond, func(id ID) { expired <- id })
-	r := NewRenewer(clock.Real{}, l, renewAt(g), nil)
-	r.Start()
-	g.Start(5 * time.Millisecond)
-	defer g.Stop()
+	clk.Advance(10 * time.Second) // now == expiry, not past it
+	renewed, err := g.Renew(context.Background(), l.ID, 10*time.Second)
+	if err != nil {
+		t.Fatalf("renew exactly at expiry: %v", err)
+	}
+	if want := time.Unix(20, 0); !renewed.Expiry.Equal(want) {
+		t.Fatalf("new expiry %v, want %v", renewed.Expiry, want)
+	}
 
-	select {
-	case <-expired:
-		t.Fatal("lease expired while renewer active")
-	case <-time.After(100 * time.Millisecond):
+	clk.Advance(10*time.Second + time.Nanosecond) // now strictly past expiry
+	if _, err := g.Renew(context.Background(), l.ID, 10*time.Second); !errors.Is(err, ErrExpired) {
+		t.Fatalf("renew past expiry: %v, want ErrExpired", err)
 	}
-	r.Stop()
-	select {
-	case <-expired:
-	case <-time.After(time.Second):
-		t.Fatal("lease did not expire after renewer stopped")
-	}
-}
-
-func TestRenewerFailureCallback(t *testing.T) {
-	g := NewGrantor(clock.Real{})
-	l := g.Grant(context.Background(), 10*time.Millisecond, nil)
-	// Cancel underneath the renewer so its next renewal fails.
-	if err := g.Cancel(l.ID); err != nil {
-		t.Fatal(err)
-	}
-	failed := make(chan error, 1)
-	r := NewRenewer(clock.Real{}, l, renewAt(g), func(err error) { failed <- err })
-	r.Start()
-	select {
-	case err := <-failed:
-		if !errors.Is(err, ErrUnknownLease) {
-			t.Errorf("failure err = %v", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("renewer did not report failure")
-	}
-	r.Stop()
 }
 
 func TestLeaseIDsUnique(t *testing.T) {

@@ -31,8 +31,13 @@ type BatchRenewFunc func(node string, items []BatchItem) ([]BatchResult, error)
 // wheelSlots is the size of the scheduler's timer wheel.
 const wheelSlots = 512
 
+// renewFraction is the share of the lease window the Scheduler waits before
+// renewing, leaving the other half as slack for the renewal round trip and
+// its retries.
+const renewFraction = 0.5
+
 // SchedulerConfig assembles a renewal Scheduler. A renewal fires at half the
-// lease window, like a Renewer's.
+// lease window (renewFraction).
 type SchedulerConfig struct {
 	// Tick is the timer-wheel granularity (default 10ms).
 	Tick time.Duration
@@ -73,8 +78,17 @@ type Scheduler struct {
 
 	wg sync.WaitGroup
 
-	m         renewerMetrics
+	m         schedulerMetrics
 	scheduled *metrics.Gauge
+}
+
+// schedulerMetrics counts holder-side renewal traffic; nil-safe until
+// Instrument. The lookup keepalives in internal/core count into the same
+// lease.renews_sent and lease.renew_failures names.
+type schedulerMetrics struct {
+	renews   *metrics.Counter
+	retries  *metrics.Counter
+	failures *metrics.Counter
 }
 
 type entryKey struct {
@@ -131,7 +145,7 @@ func (s *Scheduler) Instrument(reg *metrics.Registry) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.m = renewerMetrics{
+	s.m = schedulerMetrics{
 		renews:   reg.Counter("lease.renews_sent"),
 		retries:  reg.Counter("lease.renew_retries"),
 		failures: reg.Counter("lease.renew_failures"),
@@ -223,7 +237,7 @@ func (s *Scheduler) Quiesced() bool {
 
 // Stop halts the wheel and the workers. Armed renewals never fire again;
 // queued-but-unstarted work is dropped; an in-flight renew call is waited
-// for, mirroring Renewer.Stop.
+// for, so no renewal outlives Stop.
 func (s *Scheduler) Stop() {
 	s.wheel.Stop()
 	s.mu.Lock()

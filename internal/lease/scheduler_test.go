@@ -147,7 +147,7 @@ func TestSchedulerChunksAtMaxBatch(t *testing.T) {
 
 // TestSchedulerRetriesThenFailsNode drives one node's renewals into terminal
 // failure and checks the retry pacing, the single OnNodeFail report, and the
-// metric counters, mirroring Renewer semantics.
+// metric counters.
 func TestSchedulerRetriesThenFailsNode(t *testing.T) {
 	clk := clock.NewManual(time.Unix(0, 0))
 	reg := metrics.New()

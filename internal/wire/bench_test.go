@@ -1,15 +1,11 @@
-// Codec micro-benchmarks: the wire codec against encoding/gob on the hottest
-// message type, RenewBatchReq, at singleton, one-batch and storm sizes. No
-// fabric uses gob any more; its side is kept as a reference number, measured
-// the way the fabrics used it — a fresh encoder/decoder per message, so type
-// descriptors are re-sent every time. Run with:
+// Codec micro-benchmarks: the wire codec on the hottest message type,
+// RenewBatchReq, at singleton, one-batch and storm sizes. EXPERIMENTS.md
+// keeps the last gob measurement beside these as a reference. Run with:
 //
 //	go test -run '^$' -bench WireCodec -benchmem ./internal/wire/
 package wire_test
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"testing"
 
@@ -51,45 +47,6 @@ func BenchmarkWireCodecDecode(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var out core.RenewBatchReq
 				if err := wire.Unmarshal(data, &out); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// gobEncode gob-encodes v with a fresh encoder.
-func gobEncode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(v)
-	return buf.Bytes(), err
-}
-
-func BenchmarkGobCodecEncode(b *testing.B) {
-	for _, n := range benchSizes {
-		req := benchRenewBatch(n)
-		b.Run(fmt.Sprintf("renewBatch-%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := gobEncode(req); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkGobCodecDecode(b *testing.B) {
-	for _, n := range benchSizes {
-		data, err := gobEncode(benchRenewBatch(n))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("renewBatch-%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var out core.RenewBatchReq
-				if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&out); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -555,11 +555,12 @@ func TestScenarioDeterministicReplay(t *testing.T) {
 	}
 }
 
-// Scenario 10 — lost registration: the lookup forgets the node's
-// registration, once because it was deregistered under the node (as a lookup
-// restart does) and once because a partition outlasted the lease and the
-// lookup swept it. Each time the node registers again within two lease
-// windows of the lookup answering.
+// Scenario 10 — lost registration and lost watch: the lookup forgets the
+// node's registration and the base's arrival watch, once because both were
+// dropped under their holders (as a lookup restart does) and once because a
+// partition outlasted their leases and the lookup swept them. Each time the
+// node registers again, and a node that arrives after the loss is adapted,
+// within two lease windows of the lookup answering.
 func TestScenarioLostRegistrationReadvertised(t *testing.T) {
 	w := newSimWorld(t)
 	lookup := registry.NewLookup(w.clk)
@@ -571,38 +572,62 @@ func TestScenarioLostRegistrationReadvertised(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(stop)
-	signer, err := sign.NewSigner("base-1")
-	if err != nil {
+	b := w.newBase("base-1", nil)
+	if err := b.base.AddExtension(noopScenarioExt("policy", 1)); err != nil {
 		t.Fatal(err)
 	}
-	n := w.newNode("robot1", signer)
 
 	const leaseDur = 10 * time.Second
-	stopAdvertise, err := n.receiver.Advertise(
-		&registry.Client{Caller: w.net.Node("robot1"), Addr: "lookup-1", Timeout: time.Hour},
-		leaseDur, nil)
+	advertise := func(name string) *scenarioNode {
+		t.Helper()
+		n := w.newNode(name, b.signer)
+		stopAdvertise, err := n.receiver.Advertise(
+			&registry.Client{Caller: w.net.Node(name), Addr: "lookup-1", Timeout: time.Hour},
+			leaseDur, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(stopAdvertise)
+		return n
+	}
+	advertise("robot1")
+	watchID, err := b.base.WatchLookup(
+		&registry.Client{Caller: w.net.Node("base-1"), Addr: "lookup-1", Timeout: time.Hour},
+		leaseDur)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(stopAdvertise)
-	listed := func() int { return len(lookup.Find(registry.Template{Name: core.AdaptationService})) }
-	relisted := func(after string) {
+	listed := func(name string) bool {
+		for _, it := range lookup.Find(registry.Template{Name: core.AdaptationService}) {
+			if it.ID == name {
+				return true
+			}
+		}
+		return false
+	}
+	// recovered advertises a newcomer right after a loss; within two lease
+	// windows robot1 must be listed again and the newcomer adapted.
+	recovered := func(newcomer, after string) {
 		t.Helper()
+		n := advertise(newcomer)
 		w.advance(2*leaseDur, time.Second)
-		waitFor(t, "node listed again "+after, func() bool { return listed() == 1 })
+		waitFor(t, "robot1 listed again "+after, func() bool { return listed("robot1") })
+		waitFor(t, newcomer+" adapted "+after, func() bool { return n.receiver.Has("policy") })
 	}
 
 	if err := lookup.Deregister("robot1"); err != nil {
 		t.Fatal(err)
 	}
-	relisted("after the lookup forgot it")
+	lookup.Unwatch(watchID)
+	recovered("robot2", "after the lookup forgot robot1 and the watch")
 
 	w.net.PartitionBoth("robot1", "lookup-1")
+	w.net.PartitionBoth("base-1", "lookup-1")
 	w.advance(3*leaseDur, time.Second)
 	lookup.ExpireNow()
-	if got := listed(); got != 0 {
-		t.Fatalf("lookup lists %d nodes after a partition three leases long, want 0", got)
+	if listed("robot1") {
+		t.Fatal("lookup still lists robot1 after a partition three leases long")
 	}
 	w.net.HealAll()
-	relisted("after the partition healed")
+	recovered("robot3", "after the partition healed")
 }
